@@ -25,6 +25,7 @@ from .curves import (
 )
 from .harness import (
     ScenarioConfig,
+    _resolve_grid,
     append_ledger,
     ingest_pair,
     power_rows,
@@ -295,14 +296,8 @@ def cmd_spectrum(args) -> int:
     values, abscissae, dropped = read_curves_csv(args.input, args.header)
     if dropped:
         print(f"dropped {dropped} row(s) with missing values", file=sys.stderr)
-    grid = None
-    if args.repr_kind == GRID:
-        if args.grid:
-            grid = _load_grid(args.grid)
-        elif abscissae is not None:
-            grid = GridSpec(abscissae)
-        else:
-            grid = GridSpec(np.linspace(0.0, 1.0, values.shape[1]))
+    grid = _load_grid(args.grid) if args.grid else None
+    grid = _resolve_grid(args.repr_kind, grid, abscissae, values.shape[1])
     entries = gram_entries(values, args.repr_kind, grid)
     spec = spectrum_estimate(entries, phi[0], args.lambda_ratio)
     draws = sample_limit_law(spec, args.draws, seed=seed)

@@ -25,7 +25,7 @@ class DataError(Exception):
 
 
 class NumericalError(Exception):
-    """Raised when a numerical routine fails to converge."""
+    """Raised when a numerical routine fails to converge or overflows."""
 
 
 # Incremented by gram(); lets tests assert how many Gram computations a
@@ -214,7 +214,8 @@ def gram_entries(values: np.ndarray, kind: str = GRID, grid: GridSpec | None = N
     """N x N matrix of pairwise inner products of the rows of `values`.
 
     The lower triangle is mirrored from the upper one, so the result is
-    symmetric bit-for-bit.
+    symmetric bit-for-bit.  Raises NumericalError when an inner product
+    overflows.
     """
     values = np.asarray(values, dtype=float)
     if kind == COEFF:
@@ -226,6 +227,8 @@ def gram_entries(values: np.ndarray, kind: str = GRID, grid: GridSpec | None = N
             raise ValueError("grid length does not match curve length")
         weighted = values * grid.weights()
     g = values @ weighted.T
+    if not np.all(np.isfinite(g)):
+        raise NumericalError("Gram matrix is not finite (inner products overflow)")
     upper = np.triu(g)
     return upper + np.triu(g, 1).T
 
@@ -259,6 +262,16 @@ def read_curves_csv(path, header: bool = False):
         DataError: on unreadable files, inconsistent column counts,
             non-numeric cells, or zero usable rows.
     """
+    values, _, abscissae, dropped = _read_rows(path, header, tagged=False)
+    return values, abscissae, dropped
+
+
+def _read_rows(path, header: bool, tagged: bool):
+    """Parse a curve CSV, optionally with a leading group-tag column.
+
+    Returns (values, tags, abscissae, dropped); `tags` holds the first cell
+    of each kept row.  A header cell over the tag column is ignored.
+    """
     try:
         with open(path, newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
@@ -266,11 +279,12 @@ def read_curves_csv(path, header: bool = False):
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: file contains no rows")
+    skip = 1 if tagged else 0
 
     abscissae = None
     if header:
         try:
-            abscissae = np.array([float(cell) for cell in rows[0]], dtype=float)
+            abscissae = np.array([float(cell) for cell in rows[0][skip:]], dtype=float)
         except ValueError as exc:
             raise DataError(f"{path}: header row is not numeric") from exc
         rows = rows[1:]
@@ -278,23 +292,26 @@ def read_curves_csv(path, header: bool = False):
             raise DataError(f"{path}: no data rows after header")
 
     width = len(rows[0])
-    kept, dropped = [], 0
+    if width <= skip:
+        raise DataError(f"{path}: labeled rows need a tag plus at least one value")
+    kept, tags, dropped = [], [], 0
     for lineno, row in enumerate(rows, start=1):
         if len(row) != width:
             raise DataError(f"{path}: row {lineno} has {len(row)} columns, expected {width}")
         cells = [cell.strip() for cell in row]
-        if any(cell.lower() in _MISSING_TOKENS for cell in cells):
+        if any(cell.lower() in _MISSING_TOKENS for cell in cells[skip:]):
             dropped += 1
             continue
         try:
-            kept.append([float(cell) for cell in cells])
+            kept.append([float(cell) for cell in cells[skip:]])
         except ValueError as exc:
             raise DataError(f"{path}: row {lineno} has a non-numeric cell") from exc
+        tags.append(cells[0])
     if not kept:
         raise DataError(f"{path}: no usable rows (dropped {dropped})")
-    if abscissae is not None and abscissae.size != width:
+    if abscissae is not None and abscissae.size != width - skip:
         raise DataError(f"{path}: header length does not match data width")
-    return np.array(kept, dtype=float), abscissae, dropped
+    return np.array(kept, dtype=float), tags, abscissae, dropped
 
 
 def write_curves_csv(path, values: np.ndarray, abscissae: np.ndarray | None = None) -> None:

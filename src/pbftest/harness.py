@@ -22,6 +22,7 @@ from .curves import (
     FunctionalSample,
     GridSpec,
     equispaced_grid,
+    _read_rows,
     make_sample,
     read_curves_csv,
 )
@@ -272,12 +273,10 @@ def ingest_csv(
     Returns:
         (sample, dropped_row_count).
     """
-    raw, abscissae, dropped = _read_labeled_rows(path, header)
-    tags = [tag for tag, _ in raw]
+    values, tags, abscissae, dropped = _read_rows(path, header, tagged=True)
     distinct = list(dict.fromkeys(tags))
     if len(distinct) != 2:
         raise DataError(f"{path}: expected exactly 2 group tags, found {distinct}")
-    values = np.array([vals for _, vals in raw], dtype=float)
     labels = np.array([distinct.index(tag) for tag in tags], dtype=np.int8)
     sample_grid = _resolve_grid(repr_kind, grid, abscissae, values.shape[1])
     sample = FunctionalSample(values, labels, repr_kind, sample_grid)
@@ -319,47 +318,6 @@ def _resolve_grid(repr_kind, grid, abscissae, width) -> GridSpec | None:
     if spec.points.size != width:
         raise DataError("grid length does not match the curve length")
     return spec
-
-
-_MISSING = {"", "na", "nan"}
-
-
-def _read_labeled_rows(path, header):
-    try:
-        with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: file contains no rows")
-    abscissae = None
-    if header:
-        # first header cell sits over the label column and is ignored
-        try:
-            abscissae = np.array([float(c) for c in rows[0][1:]], dtype=float)
-        except ValueError as exc:
-            raise DataError(f"{path}: header row is not numeric") from exc
-        rows = rows[1:]
-    width = len(rows[0]) if rows else 0
-    if width < 2:
-        raise DataError(f"{path}: labeled rows need a tag plus at least one value")
-    kept, dropped = [], 0
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise DataError(f"{path}: row {lineno} has {len(row)} columns, expected {width}")
-        tag, cells = row[0].strip(), [c.strip() for c in row[1:]]
-        if any(c.lower() in _MISSING for c in cells):
-            dropped += 1
-            continue
-        try:
-            kept.append((tag, [float(c) for c in cells]))
-        except ValueError as exc:
-            raise DataError(f"{path}: row {lineno} has a non-numeric cell") from exc
-    if not kept:
-        raise DataError(f"{path}: no usable rows (dropped {dropped})")
-    if abscissae is not None and abscissae.size != width - 1:
-        raise DataError(f"{path}: header length does not match data width")
-    return kept, abscissae, dropped
 
 
 _CONFIG_TYPES = {

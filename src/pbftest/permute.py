@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import substream
-from .curves import FunctionalSample, GramMatrix, gram
+from .curves import FunctionalSample, GramMatrix, NumericalError, gram
 from .statistic import PhiKind, StatisticValue, batch_statistics, pbf_statistic
 
 RANDOMIZED = "randomized"
@@ -72,22 +72,24 @@ def permuted_statistic(G: GramMatrix, permuted_labels, kind: PhiKind) -> float:
     return pbf_statistic(G, labels, kind).zeta_hat
 
 
-def _assignment_matrix(N: int, n: int) -> np.ndarray:
-    """All C(N, n) distinct first-group assignments as 0/1 rows."""
-    combos = list(itertools.combinations(range(N), n))
-    amat = np.zeros((len(combos), N))
-    for row, combo in enumerate(combos):
-        amat[row, list(combo)] = 1.0
-    return amat
+def _relabelings(N: int, n: int, B: int, seed: int, budget: int) -> tuple[np.ndarray, str]:
+    """First-group flags of the relabelings to evaluate, and the mode.
 
-
-def _permutation_matrix(N: int, n: int, B: int, seed: int) -> np.ndarray:
-    """B random relabelings; replicate i uses the seed-xor-i substream."""
+    All C(N, n) distinct assignments as 0/1 rows when that count is within a
+    positive `budget`; otherwise B random relabelings, where replicate i
+    uses the seed-xor-i substream.
+    """
+    if budget > 0 and math.comb(N, n) <= budget:
+        combos = list(itertools.combinations(range(N), n))
+        amat = np.zeros((len(combos), N))
+        for row, combo in enumerate(combos):
+            amat[row, list(combo)] = 1.0
+        return amat, EXHAUSTIVE
     amat = np.zeros((B, N))
     for i in range(1, B + 1):
         perm = substream(seed, i).permutation(N)
         amat[i - 1, perm[:n]] = 1.0
-    return amat
+    return amat, RANDOMIZED
 
 
 def critical_value(
@@ -108,13 +110,7 @@ def critical_value(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    labels = np.asarray(labels)
-    N = G.size
-    count = math.comb(N, G.n)
-    if count <= budget:
-        amat = _assignment_matrix(N, G.n)
-    else:
-        amat = _permutation_matrix(N, G.n, B, seed)
+    amat, _ = _relabelings(G.size, G.n, B, seed, budget)
     stats = np.sort(batch_statistics(G.entries, amat, G.n, G.m, kind))
     k = math.ceil(stats.size * (1.0 - alpha) - 1e-12)
     k = min(max(k, 1), stats.size)
@@ -147,6 +143,9 @@ def permutation_test(
 
     Returns:
         TestResult with the observed statistic, scaled statistic and p-value.
+
+    Raises:
+        NumericalError: when the Gram matrix or any statistic is not finite.
     """
     kind = PhiKind(kind)
     if B < 1:
@@ -154,27 +153,23 @@ def permutation_test(
     G = gram(sample)
     n, m, N = G.n, G.m, G.size
     observed_row = (sample.labels == 0).astype(float)[None, :]
-
-    if exhaustive_budget and math.comb(N, n) <= exhaustive_budget:
-        amat = np.vstack([observed_row, _assignment_matrix(N, n)])
-        stats = batch_statistics(G.entries, amat, n, m, kind)
-        zeta, replicates = float(stats[0]), stats[1:]
-        p_value = float(np.mean(replicates >= _tie_threshold(zeta)))
-        mode, b_used = EXHAUSTIVE, replicates.size
+    amat, mode = _relabelings(N, n, B, seed, exhaustive_budget)
+    stats = batch_statistics(G.entries, np.vstack([observed_row, amat]), n, m, kind)
+    if not np.all(np.isfinite(stats)):
+        raise NumericalError("statistic is not finite (projection gaps overflow)")
+    zeta, replicates = float(stats[0]), stats[1:]
+    exceed = int(np.sum(replicates >= _tie_threshold(zeta)))
+    if mode == EXHAUSTIVE:
+        p_value = exceed / replicates.size
     else:
-        amat = np.vstack([observed_row, _permutation_matrix(N, n, B, seed)])
-        stats = batch_statistics(G.entries, amat, n, m, kind)
-        zeta, replicates = float(stats[0]), stats[1:]
-        exceed = int(np.sum(replicates >= _tie_threshold(zeta)))
         p_value = (exceed + 1) / (B + 1)
-        mode, b_used = RANDOMIZED, B
 
     value = StatisticValue(zeta, n, m)
     return TestResult(
         zeta_hat=value.zeta_hat,
         scaled=value.scaled,
         p_value=p_value,
-        b_used=b_used,
+        b_used=replicates.size,
         mode=mode,
         phi=kind,
         n=n,

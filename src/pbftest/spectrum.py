@@ -15,9 +15,13 @@ import numpy as np
 
 from ._rng import substream
 from .curves import GramMatrix, NumericalError
-from .statistic import _PHI_ARRAY, PhiKind
+from .statistic import PhiKind, _phi_block
 
 _TRUNCATION_RATIO = 1e-12
+# Memory bounds: directions per phi block in direction_averaged_distance and
+# normal draws per block in sample_limit_law.
+_DIRECTION_BLOCK = 64
+_DRAW_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -64,15 +68,14 @@ def _gram_entries(G) -> np.ndarray:
     return np.ascontiguousarray(entries, dtype=float)
 
 
-def direction_averaged_distance(G, kind: PhiKind, chunk: int = 64) -> np.ndarray:
+def direction_averaged_distance(G, kind: PhiKind) -> np.ndarray:
     """Matrix of phi((p_a - p_b)^2) averaged over all pooled directions."""
     entries = _gram_entries(G)
-    phi = _PHI_ARRAY[PhiKind(kind)]
+    kind = PhiKind(kind)
     N = entries.shape[0]
     acc = np.zeros((N, N))
-    for start in range(0, N, chunk):
-        block = entries[:, start : min(start + chunk, N)]
-        acc += phi((block[:, None, :] - block[None, :, :]) ** 2).sum(axis=2)
+    for start in range(0, N, _DIRECTION_BLOCK):
+        acc += _phi_block(entries[:, start : start + _DIRECTION_BLOCK].T, kind).sum(axis=0)
     return acc / N
 
 
@@ -150,7 +153,6 @@ def sample_limit_law(
     draws: int,
     shift: "LimitShift | np.ndarray | None" = None,
     seed: int = 0,
-    block: int = 32768,
 ) -> np.ndarray:
     """Monte-Carlo draws of sum_k lambda_k (xi_k + shift_k)^2.
 
@@ -173,8 +175,8 @@ def sample_limit_law(
         raise ValueError("shift vector length must match the eigenvalue count")
     rng = substream(seed)
     out = np.empty(draws)
-    for start in range(0, draws, block):
-        stop = min(start + block, draws)
+    for start in range(0, draws, _DRAW_BLOCK):
+        stop = min(start + _DRAW_BLOCK, draws)
         xi = rng.standard_normal((stop - start, lam.size))
         out[start:stop] = ((xi + shifts) ** 2) @ lam
     return out

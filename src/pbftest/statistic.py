@@ -80,34 +80,8 @@ def bf_statistic_1d(projections, labels, kind: PhiKind) -> float:
     labels, n, m = _group_sizes(labels)
     if p.shape != labels.shape:
         raise ValueError("projections and labels must have the same length")
-    a = p[labels == 0]
-    b = p[labels == 1]
-    if kind == PhiKind.L2:
-        s_aa = _abs_pair_sum(a)
-        s_bb = _abs_pair_sum(b)
-        s_ab = _abs_cross_sum(a, b)
-        return s_ab / (n * m) - s_aa / (2.0 * n * n) - s_bb / (2.0 * m * m)
-    phi = _PHI_ARRAY[kind]
-    s_aa = float(np.sum(phi((a[:, None] - a[None, :]) ** 2)))
-    s_bb = float(np.sum(phi((b[:, None] - b[None, :]) ** 2)))
-    s_ab = float(np.sum(phi((a[:, None] - b[None, :]) ** 2)))
-    return 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)
-
-
-def _abs_pair_sum(values: np.ndarray) -> float:
-    """sum_{j,k} |v_j - v_k| in O(n log n) via sorting and prefix sums."""
-    if values.size < 2:
-        return 0.0
-    v = np.sort(values)
-    v = v - v[0]  # shift-invariant weights; keeps ties exactly zero
-    ranks = np.arange(1, v.size + 1)
-    return float(2.0 * np.dot(2.0 * ranks - v.size - 1, v))
-
-
-def _abs_cross_sum(a: np.ndarray, b: np.ndarray) -> float:
-    """sum_{j,k} |a_j - b_k| from the pooled pair sum identity."""
-    pooled = _abs_pair_sum(np.concatenate([a, b]))
-    return (pooled - _abs_pair_sum(a) - _abs_pair_sum(b)) / 2.0
+    amat = (labels == 0).astype(float)[None, :]
+    return float(_energy_block(p[None, :], amat, n, m, kind)[0, 0])
 
 
 class StatisticValue:
@@ -197,7 +171,6 @@ def batch_statistics(
     n: int,
     m: int,
     kind: PhiKind,
-    chunk: int | None = None,
 ) -> np.ndarray:
     """Statistic values for many relabelings of one Gram matrix.
 
@@ -208,7 +181,6 @@ def batch_statistics(
         n: First-group size.
         m: Second-group size.
         kind: Distance transform.
-        chunk: Directions processed per block (memory knob; auto if None).
 
     Returns:
         Length-L array of statistic values, one per relabeling.
@@ -220,9 +192,17 @@ def batch_statistics(
     L = amat.shape[0]
     if amat.shape[1] != N:
         raise ValueError("relabeling matrix width must match the Gram dimension")
-    if kind == PhiKind.L2:
-        return _batch_l2(entries, amat, n, m, chunk)
-    return _batch_generic(entries, amat, n, m, _PHI_ARRAY[kind], chunk)
+    chunk = _direction_chunk(N, L, per_entry=3 if kind == PhiKind.L2 else 2)
+    # mixture weight of a direction: 1/(2n) in the first group, 1/(2m) in the second
+    w_a = 1.0 / (2.0 * n)
+    w_b = 1.0 / (2.0 * m)
+    zeta = np.zeros(L)
+    for start in range(0, N, chunk):
+        sl = slice(start, min(start + chunk, N))
+        t_stat = _energy_block(entries[:, sl].T, amat, n, m, kind)
+        weights = w_b + (w_a - w_b) * amat[:, sl]
+        zeta += np.einsum("lc,lc->l", weights, t_stat)
+    return zeta
 
 
 def _direction_chunk(N: int, L: int, per_entry: int, budget: float = 6.0e7) -> int:
@@ -230,73 +210,54 @@ def _direction_chunk(N: int, L: int, per_entry: int, budget: float = 6.0e7) -> i
     return max(1, min(N, int(budget / max(words, 1))))
 
 
-def _batch_generic(entries, amat, n, m, phi, chunk) -> np.ndarray:
-    N = entries.shape[0]
-    L = amat.shape[0]
-    if chunk is None:
-        chunk = _direction_chunk(N, L, per_entry=2)
-    w_a = 1.0 / (2.0 * n)
-    w_b = 1.0 / (2.0 * m)
-    inv_nm = 2.0 / (n * m)
-    inv_n2 = 1.0 / (n * n)
-    inv_m2 = 1.0 / (m * m)
-    zeta = np.zeros(L)
-    for start in range(0, N, chunk):
-        sl = slice(start, min(start + chunk, N))
-        proj = entries[:, sl].T  # (c, N) projections per direction
-        mat = phi((proj[:, :, None] - proj[:, None, :]) ** 2)  # (c, N, N)
+def _energy_block(proj: np.ndarray, amat: np.ndarray, n: int, m: int, kind: PhiKind) -> np.ndarray:
+    """`bf_statistic_1d` for c directions (proj, c x N) under L relabelings
+    (amat, L x N first-group flags); returns L x c.
+
+    Per (relabeling, direction), s_aa sums phi over ordered pairs inside the
+    first group, t over pairs whose first index is in it, total over all.
+    """
+    if kind == PhiKind.L2:
+        s_aa, t, total = _sorted_sums(proj, amat, n)
+    else:
+        mat = _phi_block(proj, kind)  # (c, N, N)
         rows = mat.sum(axis=2)  # (c, N)
         total = rows.sum(axis=1)  # (c,)
         x = np.tensordot(amat, mat, axes=([1], [1]))  # (L, c, N)
         s_aa = np.einsum("lck,lk->lc", x, amat)
         t = amat @ rows.T  # (L, c)
-        t_stat = (
-            inv_nm * (t - s_aa)
-            - inv_n2 * s_aa
-            - inv_m2 * (total[None, :] - 2.0 * t + s_aa)
-        )
-        weights = w_b + (w_a - w_b) * amat[:, sl]
-        zeta += np.einsum("lc,lc->l", weights, t_stat)
-    return zeta
+    # cross-group sum t - s_aa, second-group sum total - 2 t + s_aa
+    inv_nm = 2.0 / (n * m)
+    inv_n2 = 1.0 / (n * n)
+    inv_m2 = 1.0 / (m * m)
+    return inv_nm * (t - s_aa) - inv_n2 * s_aa - inv_m2 * (total[None, :] - 2.0 * t + s_aa)
 
 
-def _batch_l2(entries, amat, n, m, chunk) -> np.ndarray:
-    # phi((p_j - p_k)^2) = |p_j - p_k| / 2: per direction, sorting plus
-    # cumulative sums replace the dense pairwise tensor.
-    N = entries.shape[0]
-    L = amat.shape[0]
-    if chunk is None:
-        chunk = _direction_chunk(N, L, per_entry=3)
-    w_a = 1.0 / (2.0 * n)
-    w_b = 1.0 / (2.0 * m)
-    inv_nm = 1.0 / (n * m)
-    inv_2n2 = 1.0 / (2.0 * n * n)
-    inv_2m2 = 1.0 / (2.0 * m * m)
-    zeta = np.zeros(L)
+def _phi_block(proj: np.ndarray, kind: PhiKind) -> np.ndarray:
+    """phi((p_j - p_k)^2) per direction: c x N projections -> c x N x N."""
+    return _PHI_ARRAY[kind]((proj[:, :, None] - proj[:, None, :]) ** 2)
+
+
+def _sorted_sums(proj, amat, n):
+    """(s_aa, t, total) for l2 without the c x N x N block.
+
+    phi((p_j - p_k)^2) = |p_j - p_k| / 2, so sorting plus cumulative sums
+    give the pair sums in O(N log N) per direction (Huo & Szekely 2016).
+    """
+    N = proj.shape[1]
     ranks = np.arange(1, N + 1, dtype=float)
-    for start in range(0, N, chunk):
-        sl = slice(start, min(start + chunk, N))
-        proj = entries[:, sl].T  # (c, N)
-        order = np.argsort(proj, axis=1)
-        ps = np.take_along_axis(proj, order, axis=1)  # sorted per direction
-        ps = ps - ps[:, :1]  # rank weights sum to zero, so the shift cancels
-        cums = np.cumsum(ps, axis=1)
-        total = cums[:, -1]
-        rowsum_sorted = (2.0 * ranks - N) * ps - 2.0 * cums + total[:, None]
-        rows = np.empty_like(rowsum_sorted)
-        np.put_along_axis(rows, order, rowsum_sorted, axis=1)  # back to curve order
-        s_all = rowsum_sorted.sum(axis=1)  # (c,)
+    order = np.argsort(proj, axis=1)
+    ps = np.take_along_axis(proj, order, axis=1)  # sorted per direction
+    # rank weights sum to zero, so the shift cancels; halving is exact
+    ps = 0.5 * (ps - ps[:, :1])
+    cums = np.cumsum(ps, axis=1)
+    rowsum_sorted = (2.0 * ranks - N) * ps - 2.0 * cums + cums[:, -1:]
+    rows = np.empty_like(rowsum_sorted)
+    np.put_along_axis(rows, order, rowsum_sorted, axis=1)  # back to curve order
+    total = rowsum_sorted.sum(axis=1)  # (c,)
 
-        gathered = amat[:, order]  # (L, c, N) group flags in sorted order
-        counts = np.cumsum(gathered, axis=2)
-        weighted = gathered * (2.0 * counts - (n + 1.0))
-        s_aa = 2.0 * np.einsum("lcr,cr->lc", weighted, ps)
-        t = amat @ rows.T  # (L, c)
-        t_stat = (
-            inv_nm * (t - s_aa)
-            - inv_2n2 * s_aa
-            - inv_2m2 * (s_all[None, :] - 2.0 * t + s_aa)
-        )
-        weights = w_b + (w_a - w_b) * amat[:, sl]
-        zeta += np.einsum("lc,lc->l", weights, t_stat)
-    return zeta
+    gathered = amat[:, order]  # (L, c, N) group flags in sorted order
+    counts = np.cumsum(gathered, axis=2)
+    weighted = gathered * (2.0 * counts - (n + 1.0))
+    s_aa = 2.0 * np.einsum("lcr,cr->lc", weighted, ps)
+    return s_aa, amat @ rows.T, total

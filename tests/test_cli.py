@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pbftest
 from pbftest.cli import main
 
 
@@ -32,6 +37,32 @@ def test_missing_file_is_data_error(capsys):
     code, _, err = run_cli(capsys, "test", "no_such_x.csv", "no_such_y.csv", "--seed", "1")
     assert code == 2
     assert "no_such_x.csv" in err
+
+
+def test_python_dash_m_runs_cli_and_passes_exit_code(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(pbftest.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbftest", "test", "no_such_x.csv", "no_such_y.csv", "--seed", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "no_such_x.csv" in proc.stderr
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_input_is_numerical_error(tmp_path, capsys):
+    # inner products of curves near 1e160 overflow; a NaN statistic must
+    # not turn into a confident p-value
+    rng = np.random.default_rng(1)
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    np.savetxt(x, rng.standard_normal((30, 9)) * 1e160, delimiter=",")
+    np.savetxt(y, (rng.standard_normal((30, 9)) + 2.0) * 1e160, delimiter=",")
+    code, out, err = run_cli(
+        capsys, "test", str(x), str(y), "--repr", "coeff", "--b", "99", "--seed", "1"
+    )
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
 
 
 def test_bad_alpha_is_usage_error(tmp_path, capsys):
@@ -158,6 +189,17 @@ def test_spectrum_cli_eigenvalues_nonincreasing(tmp_path, capsys):
     assert quant_lines[0] == "quantile,value"
     quants = [float(line.split(",")[1]) for line in quant_lines[1:]]
     assert all(a <= b for a, b in zip(quants, quants[1:]))
+
+
+def test_spectrum_grid_length_mismatch_is_data_error(tmp_path, capsys):
+    curves = tmp_path / "null.csv"
+    np.savetxt(curves, np.random.default_rng(4).standard_normal((10, 7)), delimiter=",")
+    grid = tmp_path / "grid.csv"
+    grid.write_text(",".join(str(t) for t in np.linspace(0.0, 1.0, 5)) + "\n")
+    for command in (["spectrum", "--input", str(curves)], ["test", str(curves), str(curves)]):
+        code, _, err = run_cli(capsys, *command, "--grid", str(grid), "--seed", "1")
+        assert code == 2
+        assert "grid length" in err
 
 
 def test_random_seed_is_printed_when_omitted(tmp_path, capsys):

@@ -6,6 +6,7 @@ from pbftest import (
     DataError,
     FunctionalSample,
     GridSpec,
+    NumericalError,
     equispaced_grid,
     gram,
     gram_entries,
@@ -131,6 +132,13 @@ def test_gram_positive_semidefinite(rng):
     eigs = np.linalg.eigvalsh(entries)
     assert eigs.min() >= -1e-8 * eigs.max()
     assert np.diag(entries).min() >= -1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gram_overflow_raises():
+    values = np.full((3, 4), 1e160)
+    with pytest.raises(NumericalError):
+        gram_entries(values, "coeff")
 
 
 def test_sample_validation():

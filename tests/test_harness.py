@@ -124,6 +124,10 @@ def test_ingest_csv_errors(tmp_path):
     empty.write_text("")
     with pytest.raises(DataError):
         ingest_csv(empty, "grid")
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("x,0,0.5,1\n")
+    with pytest.raises(DataError, match="no data rows after header"):
+        ingest_csv(header_only, "grid", header=True)
 
 
 def test_ingest_pair(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from pbftest import (
     GramMatrix,
+    NumericalError,
     PhiKind,
     critical_value,
     gram,
@@ -184,3 +185,15 @@ def test_level_null_wiener_b500():
     )
     estimate = run_power(config)[PhiKind.L2]
     assert 0.03 <= estimate.rejection_rate <= 0.07
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_statistic_raises(rng):
+    # Gram entries near 1e200 are finite, but squared projection gaps
+    # overflow, so log's statistic is not; l2 sorts and never squares them
+    values = rng.standard_normal((20, 5)) * 1e100
+    sample = make_sample(values[:10], values[10:], "coeff")
+    with pytest.raises(NumericalError):
+        permutation_test(sample, PhiKind.LOG, B=19, seed=1)
+    result = permutation_test(sample, PhiKind.L2, B=19, seed=1)
+    assert np.isfinite(result.zeta_hat) and 0.0 < result.p_value <= 1.0

@@ -10,6 +10,7 @@ from pbftest import (
     double_center,
     empirical_h_matrix,
     gram_entries,
+    phi_eval,
     sample_limit_law,
     spectrum_estimate,
     spectrum_from_kernel_matrix,
@@ -66,6 +67,18 @@ def test_eigenvalues_nonincreasing_and_trace_identity(rng):
         assert np.all(np.diff(lam) <= 0.0)
         trace = np.trace(h) / 30.0
         assert abs(lam.sum() - trace) <= 1e-8 * abs(trace)
+
+
+def test_direction_averaged_distance_matches_pair_loop(rng):
+    # 70 directions span two blocks of the direction loop
+    values = rng.standard_normal((70, 5))
+    entries = gram_entries(values, "coeff")
+    for kind in PhiKind:
+        dist = direction_averaged_distance(entries, kind)
+        for a, b in ((0, 0), (0, 1), (3, 69), (69, 3), (41, 17)):
+            gaps = (entries[:, a] - entries[:, b]) ** 2
+            direct = sum(phi_eval(kind, float(z)) for z in gaps) / 70.0
+            assert dist[a, b] == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
 def test_constant_kernel_shift_is_annihilated(rng):
