@@ -140,13 +140,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="key=value config file (flags override)")
         p.add_argument("--out", default="power_results.csv", help="CSV ledger to append to")
         p.add_argument("--json", action="store_true", help="mirror results as JSON on stdout")
-        p.add_argument("--threads", type=int, default=1, help="replication workers (0 = auto)")
+        p.add_argument(
+            "--threads", type=int, default=None,
+            help="replication workers (0 = auto; default: the config file's workers, else 1)",
+        )
         if name == "sweep":
             p.add_argument("--param", required=True, help="parameter to sweep (r, sigma, d, delta, n, m, B)")
             p.add_argument("--values", required=True, help="comma list of parameter values")
-            p.set_defaults(handler=cmd_sweep)
-        else:
-            p.set_defaults(handler=cmd_power)
+        p.set_defaults(handler=cmd_study, param=None)
 
     p_spec = subs.add_parser("spectrum", help="limiting-law eigenvalues of a null sample")
     p_spec.add_argument("--input", required=True, help="pooled null curves (wide CSV)")
@@ -223,7 +224,8 @@ def _power_config(args) -> ScenarioConfig:
     if args.phi is not None:
         settings["phis"] = _phi_list(args.phi)
     settings.update(_scenario_params(args))
-    settings["workers"] = args.threads
+    if args.threads is not None:
+        settings["workers"] = args.threads
     if "scenario" not in settings:
         raise UsageError("--scenario (or a config file providing it) is required")
     settings.setdefault("n", 50)
@@ -245,34 +247,23 @@ def _progress_printer(reps: int):
     return report
 
 
-def cmd_power(args) -> int:
+def cmd_study(args) -> int:
+    """`power`, or `sweep` when `--param` names a parameter to vary."""
     config = _power_config(args)
-    estimates = run_power(config, progress=_progress_printer(config.reps))
-    rows = power_rows(config, estimates)
+    progress = _progress_printer(config.reps)
+    if args.param is None:
+        rows = power_rows(config, run_power(config, progress=progress))
+    else:
+        rows = run_sweep(config, args.param, _float_list(args.values), progress=progress)
     append_ledger(args.out, rows)
     if args.json:
         print(json.dumps({"config": _config_echo(config), "results": rows}))
     else:
         for row in rows:
+            point = f" {row['param']}={row['value']}" if row["param"] else ""
             print(
-                f"{row['scenario']} phi={row['phi']}: rate={row['rate']:.4f} "
+                f"{row['scenario']}{point} phi={row['phi']}: rate={row['rate']:.4f} "
                 f"(+/- {row['stderr']:.4f}, {row['rejections']}/{row['reps']})"
-            )
-    return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    config = _power_config(args)
-    values = _float_list(args.values)
-    rows = run_sweep(config, args.param, values, progress=None)
-    append_ledger(args.out, rows)
-    if args.json:
-        print(json.dumps({"config": _config_echo(config), "results": rows}))
-    else:
-        for row in rows:
-            print(
-                f"{row['scenario']} {row['param']}={row['value']} phi={row['phi']}: "
-                f"rate={row['rate']:.4f} (+/- {row['stderr']:.4f})"
             )
     return EXIT_OK
 

@@ -226,7 +226,8 @@ def gram_entries(values: np.ndarray, kind: str = GRID, grid: GridSpec | None = N
         if grid.points.size != values.shape[1]:
             raise ValueError("grid length does not match curve length")
         weighted = values * grid.weights()
-    g = values @ weighted.T
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite check reports it
+        g = values @ weighted.T
     if not np.all(np.isfinite(g)):
         raise NumericalError("Gram matrix is not finite (inner products overflow)")
     upper = np.triu(g)

@@ -6,11 +6,13 @@ isolation and the aggregate is invariant to execution order or worker
 count.
 """
 
+import contextlib
 import csv
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -78,6 +80,9 @@ class ScenarioConfig:
         )
 
 
+_FIELD_TYPES = {field.name: field.type for field in fields(ScenarioConfig)}
+
+
 @dataclass(frozen=True)
 class PowerEstimate:
     """Rejection-rate estimate for one (scenario, phi) cell."""
@@ -121,11 +126,6 @@ def _limit_worker_blas():
         pass
 
 
-def _replication_task(payload):
-    config, rep_index = payload
-    return run_single_replication(config, rep_index)
-
-
 def run_power(config: ScenarioConfig, progress=None) -> dict:
     """Estimate rejection rates for every phi of a scenario.
 
@@ -138,23 +138,20 @@ def run_power(config: ScenarioConfig, progress=None) -> dict:
         replications, so results do not depend on worker count.
     """
     workers = config.workers or (os.cpu_count() or 1)
+    replicate = functools.partial(run_single_replication, config)
+    indices = range(config.reps)
     rejections = {phi: 0 for phi in config.phis}
-    done = 0
-    if workers > 1 and config.reps > 1:
-        payloads = [(config, i) for i in range(config.reps)]
-        chunksize = max(1, config.reps // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers, initializer=_limit_worker_blas) as pool:
-            for decisions in pool.map(_replication_task, payloads, chunksize=chunksize):
-                for phi, rejected in decisions.items():
-                    rejections[phi] += int(rejected)
-                done += 1
-                if progress:
-                    progress(done)
-    else:
-        for i in range(config.reps):
-            for phi, rejected in run_single_replication(config, i).items():
+    with contextlib.ExitStack() as stack:
+        if workers > 1 and config.reps > 1:
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers, initializer=_limit_worker_blas)
+            )
+            decisions = pool.map(replicate, indices, chunksize=max(1, config.reps // (workers * 8)))
+        else:
+            decisions = map(replicate, indices)
+        for done, decided in enumerate(decisions, start=1):
+            for phi, rejected in decided.items():
                 rejections[phi] += int(rejected)
-            done += 1
             if progress:
                 progress(done)
     return {phi: PowerEstimate(phi, rejections[phi], config.reps) for phi in config.phis}
@@ -164,31 +161,23 @@ def run_sweep(base: ScenarioConfig, parameter: str, values, progress=None) -> li
     """One run_power per parameter value; returns tidy ledger rows.
 
     Each value gets an independently derived seed, so adding or reordering
-    sweep points never changes the others.
+    sweep points never changes the others.  Integer parameters (n, m, d, B)
+    reject non-integral values instead of truncating them.
     """
     if parameter not in ("r", "sigma", "d", "delta", "n", "m", "B"):
         raise ValueError(f"unknown sweep parameter {parameter!r}")
+    cast = _FIELD_TYPES[parameter]
+    values = list(values)  # checked before any point runs, then iterated
+    for value in values:
+        if cast is int and not float(value).is_integer():
+            raise ValueError(f"sweep parameter {parameter} takes integers, got {value!r}")
     rows = []
     for index, value in enumerate(values):
         bound = replace(
-            base,
-            seed=derive_seed(base.seed, 1000 + index),
-            **{parameter: type(getattr(base, parameter))(value)},
+            base, seed=derive_seed(base.seed, 1000 + index), **{parameter: cast(value)}
         )
-        for phi, est in run_power(bound, progress=progress).items():
-            rows.append(
-                {
-                    "scenario": base.scenario,
-                    "param": parameter,
-                    "value": value,
-                    "phi": phi.value,
-                    "reps": est.reps_done,
-                    "rejections": est.rejections,
-                    "rate": est.rejection_rate,
-                    "stderr": est.mc_stderr,
-                    "seed": bound.seed,
-                }
-            )
+        estimates = run_power(bound, progress=progress)
+        rows += [dict(row, param=parameter, value=value) for row in power_rows(bound, estimates)]
     return rows
 
 
@@ -320,30 +309,24 @@ def _resolve_grid(repr_kind, grid, abscissae, width) -> GridSpec | None:
     return spec
 
 
-_CONFIG_TYPES = {
-    "scenario": str,
-    "n": int,
-    "m": int,
-    "B": int,
-    "alpha": float,
-    "reps": int,
-    "seed": int,
-    "r": float,
-    "sigma": float,
-    "d": int,
-    "delta": float,
-    "grid_points": int,
-    "normalized_cos": lambda s: s.lower() in ("1", "true", "yes"),
-    "sampled_on_grid": lambda s: s.lower() in ("1", "true", "yes"),
-    "workers": int,
-}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {', '.join(_BOOLEANS)}, got {text!r}") from None
 
 
 def read_config_file(path) -> dict:
     """Parse a flat key=value scenario config file.
 
-    Lines are `key=value`; blank lines and `#` comments are skipped.  The
-    `phi` key takes a comma-separated list.  CLI flags override these values.
+    Lines are `key=value`; blank lines and `#` comments are skipped.  Keys
+    are the `ScenarioConfig` fields, typed as declared there, except that
+    `phi` takes a comma-separated list in place of `phis`.  A value that does
+    not parse raises DataError naming the file and line.  CLI flags override
+    these values.
     """
     out = {}
     try:
@@ -359,10 +342,14 @@ def read_config_file(path) -> dict:
             raise DataError(f"{path}: line {lineno} is not key=value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key == "phi":
-            out["phis"] = tuple(PhiKind(p.strip()) for p in value.split(","))
-        elif key in _CONFIG_TYPES:
-            out[key] = _CONFIG_TYPES[key](value)
-        else:
-            raise DataError(f"{path}: unknown config key {key!r}")
+        try:
+            if key == "phi":
+                out["phis"] = tuple(PhiKind(p.strip()) for p in value.split(","))
+            elif key in _FIELD_TYPES and key != "phis":
+                cast = _FIELD_TYPES[key]
+                out[key] = _parse_bool(value) if cast is bool else cast(value)
+            else:
+                raise DataError(f"{path}: unknown config key {key!r}")
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: bad value for {key}: {exc}") from exc
     return out

@@ -92,9 +92,17 @@ def _relabelings(N: int, n: int, B: int, seed: int, budget: int) -> tuple[np.nda
     return amat, RANDOMIZED
 
 
+def _finite_statistics(G: GramMatrix, amat: np.ndarray, kind: PhiKind) -> np.ndarray:
+    """Statistic of each relabeling row of `amat`; NumericalError if any is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        stats = batch_statistics(G.entries, amat, G.n, G.m, kind)
+    if not np.all(np.isfinite(stats)):
+        raise NumericalError("statistic is not finite (projection gaps overflow)")
+    return stats
+
+
 def critical_value(
     G: GramMatrix,
-    labels,
     kind: PhiKind,
     alpha: float,
     budget: int = 20000,
@@ -107,11 +115,14 @@ def critical_value(
     All C(N, n) distinct assignments are enumerated when within `budget`
     (the statistic depends on a permutation only through the induced
     partition); otherwise the value is estimated from B random permutations.
+
+    Raises:
+        NumericalError: when any permuted statistic is not finite.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     amat, _ = _relabelings(G.size, G.n, B, seed, budget)
-    stats = np.sort(batch_statistics(G.entries, amat, G.n, G.m, kind))
+    stats = np.sort(_finite_statistics(G, amat, kind))
     k = math.ceil(stats.size * (1.0 - alpha) - 1e-12)
     k = min(max(k, 1), stats.size)
     return float(stats[k - 1])
@@ -154,9 +165,7 @@ def permutation_test(
     n, m, N = G.n, G.m, G.size
     observed_row = (sample.labels == 0).astype(float)[None, :]
     amat, mode = _relabelings(N, n, B, seed, exhaustive_budget)
-    stats = batch_statistics(G.entries, np.vstack([observed_row, amat]), n, m, kind)
-    if not np.all(np.isfinite(stats)):
-        raise NumericalError("statistic is not finite (projection gaps overflow)")
+    stats = _finite_statistics(G, np.vstack([observed_row, amat]), kind)
     zeta, replicates = float(stats[0]), stats[1:]
     exceed = int(np.sum(replicates >= _tie_threshold(zeta)))
     if mode == EXHAUSTIVE:

@@ -144,7 +144,8 @@ def spectrum_estimate(G, kind: PhiKind, lambda_ratio: float = 0.5) -> KernelSpec
     entries = _gram_entries(G)
     if entries.shape[0] < 3:
         raise ValueError("spectrum estimation needs at least 3 observations")
-    h = empirical_h_matrix(entries, kind)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite h raises below
+        h = empirical_h_matrix(entries, kind)
     return spectrum_from_kernel_matrix(h, kind, lambda_ratio)
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,20 +50,25 @@ def test_python_dash_m_runs_cli_and_passes_exit_code(tmp_path):
     assert "no_such_x.csv" in proc.stderr
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_input_is_numerical_error(tmp_path, capsys):
-    # inner products of curves near 1e160 overflow; a NaN statistic must
-    # not turn into a confident p-value
+    # inner products of curves near 1e160 overflow, and near 1e100 log's
+    # squared projection gaps do; a NaN statistic must not turn into a
+    # confident p-value (nor a spectrum), and the failure is reported
+    # without numpy warnings
     rng = np.random.default_rng(1)
     x, y = tmp_path / "x.csv", tmp_path / "y.csv"
-    np.savetxt(x, rng.standard_normal((30, 9)) * 1e160, delimiter=",")
-    np.savetxt(y, (rng.standard_normal((30, 9)) + 2.0) * 1e160, delimiter=",")
-    code, out, err = run_cli(
-        capsys, "test", str(x), str(y), "--repr", "coeff", "--b", "99", "--seed", "1"
-    )
-    assert code == 3
-    assert out == ""
-    assert "numerical failure" in err
+    for scale, phi in ((1e160, "l2"), (1e100, "log")):
+        np.savetxt(x, rng.standard_normal((30, 9)) * scale, delimiter=",")
+        np.savetxt(y, (rng.standard_normal((30, 9)) + 2.0) * scale, delimiter=",")
+        for command in (["test", str(x), str(y), "--b", "99"], ["spectrum", "--input", str(x)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(
+                    capsys, *command, "--repr", "coeff", "--phi", phi, "--seed", "1"
+                )
+            assert code == 3
+            assert out == ""
+            assert "numerical failure" in err
 
 
 def test_bad_alpha_is_usage_error(tmp_path, capsys):
@@ -156,6 +162,20 @@ def test_power_config_file_with_flag_override(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["config"]["reps"] == 10  # flag wins
     assert payload["config"]["B"] == 40  # file value kept
+    cfg.write_text("scenario=ex3\nn=8\nm=8\nB=40\nreps=4\nphi=l2\nseed=9\nworkers=2\n")
+    code, out, _ = run_cli(capsys, "power", "--config", str(cfg), "--out", str(ledger), "--json")
+    assert code == 0
+    assert json.loads(out)["config"]["workers"] == 2  # no --threads: file value kept
+    code, out, _ = run_cli(
+        capsys, "power", "--config", str(cfg), "--threads", "1", "--out", str(ledger), "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["config"]["workers"] == 1  # --threads wins
+    cfg.write_text("scenario=ex3\nn=abc\n")
+    code, out, err = run_cli(capsys, "power", "--config", str(cfg), "--out", str(ledger))
+    assert code == 2
+    assert out == ""
+    assert "run.cfg: line 2" in err
 
 
 def test_sweep_cli(tmp_path, capsys):

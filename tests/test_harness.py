@@ -77,6 +77,10 @@ def test_sweep_unknown_parameter():
     cfg = ScenarioConfig(scenario="ex4i", n=8, m=8)
     with pytest.raises(ValueError):
         run_sweep(cfg, "gamma", [1.0])
+    # integer parameters take integral values only; 9.7 must not run as 9
+    for parameter in ("n", "m", "d", "B"):
+        with pytest.raises(ValueError, match="integers"):
+            run_sweep(cfg, parameter, [10.0, 9.7])
 
 
 def test_ledger_append(tmp_path):
@@ -161,6 +165,16 @@ def test_config_file_round_trip(tmp_path):
     malformed.write_text("scenario ex1\n")
     with pytest.raises(DataError):
         read_config_file(malformed)
+    flags = tmp_path / "flags.cfg"
+    flags.write_text("normalized_cos=Yes\nsampled_on_grid=0\nworkers=2\n")
+    assert read_config_file(flags) == {
+        "normalized_cos": True, "sampled_on_grid": False, "workers": 2,
+    }
+    for text in ("n=abc", "phi=foo", "normalized_cos=maybe", "alpha=", "B=3.5"):
+        bad_value = tmp_path / "bad_value.cfg"
+        bad_value.write_text(f"scenario=ex1\n{text}\n")
+        with pytest.raises(DataError, match=r"bad_value\.cfg: line 2"):
+            read_config_file(bad_value)
 
 
 def test_subsample_power_stratified(rng):

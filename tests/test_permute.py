@@ -68,15 +68,13 @@ def test_group_size_mismatch_rejected(rng):
 def test_critical_value_identical_curves_is_zero():
     values = np.ones((6, 3))
     G = GramMatrix(gram_entries(values, "coeff"), 3, 3)
-    labels = np.array([0, 0, 0, 1, 1, 1])
     for alpha in (0.01, 0.05, 0.5, 0.99):
-        assert critical_value(G, labels, PhiKind.L2, alpha) == 0.0
+        assert critical_value(G, PhiKind.L2, alpha) == 0.0
 
 
 def test_critical_value_small_sample_enumeration(rng):
     values = rng.standard_normal((6, 3))
     G = GramMatrix(gram_entries(values, "coeff"), 3, 3)
-    labels = np.array([0, 0, 0, 1, 1, 1])
     # independent enumeration of all C(6,3) = 20 assignments
     stats = []
     for combo in itertools.combinations(range(6), 3):
@@ -86,11 +84,11 @@ def test_critical_value_small_sample_enumeration(rng):
     stats = np.sort(stats)
     # at alpha = 0.05 the 19th order statistic is required, and swap symmetry
     # pairs every assignment with its complement, so it ties with the max
-    got = critical_value(G, labels, PhiKind.L2, 0.05)
+    got = critical_value(G, PhiKind.L2, 0.05)
     assert got == pytest.approx(stats[18], abs=1e-12)
     assert got == pytest.approx(stats.max(), abs=1e-12)
     # alpha -> 1 gives the minimum permuted statistic
-    assert critical_value(G, labels, PhiKind.L2, 0.999) == pytest.approx(stats[0], abs=1e-12)
+    assert critical_value(G, PhiKind.L2, 0.999) == pytest.approx(stats[0], abs=1e-12)
 
 
 def test_critical_value_invalid_alpha(rng):
@@ -98,7 +96,7 @@ def test_critical_value_invalid_alpha(rng):
     G = gram(sample)
     for alpha in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
-            critical_value(G, sample.labels, PhiKind.L2, alpha)
+            critical_value(G, PhiKind.L2, alpha)
 
 
 def test_pvalue_when_multisets_match(rng):
@@ -195,5 +193,7 @@ def test_nonfinite_statistic_raises(rng):
     sample = make_sample(values[:10], values[10:], "coeff")
     with pytest.raises(NumericalError):
         permutation_test(sample, PhiKind.LOG, B=19, seed=1)
+    with pytest.raises(NumericalError):
+        critical_value(gram(sample), PhiKind.LOG, 0.05, budget=0, B=19, seed=1)
     result = permutation_test(sample, PhiKind.L2, B=19, seed=1)
     assert np.isfinite(result.zeta_hat) and 0.0 < result.p_value <= 1.0
