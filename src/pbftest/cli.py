@@ -250,11 +250,12 @@ def _progress_printer(reps: int):
 def cmd_study(args) -> int:
     """`power`, or `sweep` when `--param` names a parameter to vary."""
     config = _power_config(args)
-    progress = _progress_printer(config.reps)
     if args.param is None:
-        rows = power_rows(config, run_power(config, progress=progress))
+        rows = power_rows(config, run_power(config, progress=_progress_printer(config.reps)))
     else:
-        rows = run_sweep(config, args.param, _float_list(args.values), progress=progress)
+        values = _float_list(args.values)
+        progress = _progress_printer(config.reps * len(values))
+        rows = run_sweep(config, args.param, values, progress=progress)
     append_ledger(args.out, rows)
     if args.json:
         print(json.dumps({"config": _config_echo(config), "results": rows}))

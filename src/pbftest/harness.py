@@ -162,7 +162,9 @@ def run_sweep(base: ScenarioConfig, parameter: str, values, progress=None) -> li
 
     Each value gets an independently derived seed, so adding or reordering
     sweep points never changes the others.  Integer parameters (n, m, d, B)
-    reject non-integral values instead of truncating them.
+    reject non-integral values instead of truncating them.  `progress` gets
+    the replications completed across all points so far, index * reps + done
+    during point `index`, ending at len(values) * reps.
     """
     if parameter not in ("r", "sigma", "d", "delta", "n", "m", "B"):
         raise ValueError(f"unknown sweep parameter {parameter!r}")
@@ -176,7 +178,9 @@ def run_sweep(base: ScenarioConfig, parameter: str, values, progress=None) -> li
         bound = replace(
             base, seed=derive_seed(base.seed, 1000 + index), **{parameter: cast(value)}
         )
-        estimates = run_power(bound, progress=progress)
+        offset = index * base.reps  # read only while this point runs
+        tick = (lambda done: progress(offset + done)) if progress else None
+        estimates = run_power(bound, progress=tick)
         rows += [dict(row, param=parameter, value=value) for row in power_rows(bound, estimates)]
     return rows
 

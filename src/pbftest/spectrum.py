@@ -32,7 +32,6 @@ class KernelSpectrum:
     n_used: int
     phi: PhiKind
     mixture_ratio: float = 0.5
-    shift_means: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ def sample_limit_law(
     if lam.size == 0:
         return np.zeros(draws)
     if shift is None:
-        shifts = spec.shift_means if spec.shift_means is not None else np.zeros(lam.size)
+        shifts = np.zeros(lam.size)
     elif isinstance(shift, LimitShift):
         shifts = shift.per_component()
     else:

@@ -192,7 +192,7 @@ def batch_statistics(
     L = amat.shape[0]
     if amat.shape[1] != N:
         raise ValueError("relabeling matrix width must match the Gram dimension")
-    chunk = _direction_chunk(N, L, per_entry=3 if kind == PhiKind.L2 else 2)
+    chunk = _direction_chunk(N, L)
     # mixture weight of a direction: 1/(2n) in the first group, 1/(2m) in the second
     w_a = 1.0 / (2.0 * n)
     w_b = 1.0 / (2.0 * m)
@@ -205,9 +205,15 @@ def batch_statistics(
     return zeta
 
 
-def _direction_chunk(N: int, L: int, per_entry: int, budget: float = 6.0e7) -> int:
-    words = max(N * L, N * N) * per_entry
-    return max(1, min(N, int(budget / max(words, 1))))
+# Directions per kernel block: c is the largest with c * max(N*L, N*N) * 2
+# words under the budget (the phi block plus the tensordot product).
+_CHUNK_BUDGET = 6.0e7
+_WORDS_PER_ENTRY = 2
+
+
+def _direction_chunk(N: int, L: int) -> int:
+    words = max(N * L, N * N) * _WORDS_PER_ENTRY
+    return max(1, min(N, int(_CHUNK_BUDGET / max(words, 1))))
 
 
 def _energy_block(proj: np.ndarray, amat: np.ndarray, n: int, m: int, kind: PhiKind) -> np.ndarray:
@@ -217,15 +223,12 @@ def _energy_block(proj: np.ndarray, amat: np.ndarray, n: int, m: int, kind: PhiK
     Per (relabeling, direction), s_aa sums phi over ordered pairs inside the
     first group, t over pairs whose first index is in it, total over all.
     """
-    if kind == PhiKind.L2:
-        s_aa, t, total = _sorted_sums(proj, amat, n)
-    else:
-        mat = _phi_block(proj, kind)  # (c, N, N)
-        rows = mat.sum(axis=2)  # (c, N)
-        total = rows.sum(axis=1)  # (c,)
-        x = np.tensordot(amat, mat, axes=([1], [1]))  # (L, c, N)
-        s_aa = np.einsum("lck,lk->lc", x, amat)
-        t = amat @ rows.T  # (L, c)
+    mat = _phi_block(proj, kind)  # (c, N, N)
+    rows = mat.sum(axis=2)  # (c, N)
+    total = rows.sum(axis=1)  # (c,)
+    x = np.tensordot(amat, mat, axes=([1], [1]))  # (L, c, N)
+    s_aa = np.einsum("lck,lk->lc", x, amat)
+    t = amat @ rows.T  # (L, c)
     # cross-group sum t - s_aa, second-group sum total - 2 t + s_aa
     inv_nm = 2.0 / (n * m)
     inv_n2 = 1.0 / (n * n)
@@ -234,30 +237,13 @@ def _energy_block(proj: np.ndarray, amat: np.ndarray, n: int, m: int, kind: PhiK
 
 
 def _phi_block(proj: np.ndarray, kind: PhiKind) -> np.ndarray:
-    """phi((p_j - p_k)^2) per direction: c x N projections -> c x N x N."""
-    return _PHI_ARRAY[kind]((proj[:, :, None] - proj[:, None, :]) ** 2)
+    """phi((p_j - p_k)^2) per direction: c x N projections -> c x N x N.
 
-
-def _sorted_sums(proj, amat, n):
-    """(s_aa, t, total) for l2 without the c x N x N block.
-
-    phi((p_j - p_k)^2) = |p_j - p_k| / 2, so sorting plus cumulative sums
-    give the pair sums in O(N log N) per direction (Huo & Szekely 2016).
+    l2 is evaluated on the gap as |p_j - p_k| / 2: it equals sqrt of the
+    square exactly wherever the square neither overflows nor underflows,
+    and stays finite where the square would overflow.
     """
-    N = proj.shape[1]
-    ranks = np.arange(1, N + 1, dtype=float)
-    order = np.argsort(proj, axis=1)
-    ps = np.take_along_axis(proj, order, axis=1)  # sorted per direction
-    # rank weights sum to zero, so the shift cancels; halving is exact
-    ps = 0.5 * (ps - ps[:, :1])
-    cums = np.cumsum(ps, axis=1)
-    rowsum_sorted = (2.0 * ranks - N) * ps - 2.0 * cums + cums[:, -1:]
-    rows = np.empty_like(rowsum_sorted)
-    np.put_along_axis(rows, order, rowsum_sorted, axis=1)  # back to curve order
-    total = rowsum_sorted.sum(axis=1)  # (c,)
-
-    gathered = amat[:, order]  # (L, c, N) group flags in sorted order
-    counts = np.cumsum(gathered, axis=2)
-    weighted = gathered * (2.0 * counts - (n + 1.0))
-    s_aa = 2.0 * np.einsum("lcr,cr->lc", weighted, ps)
-    return s_aa, amat @ rows.T, total
+    gap = proj[:, :, None] - proj[:, None, :]
+    if kind == PhiKind.L2:
+        return 0.5 * np.abs(gap)
+    return _PHI_ARRAY[kind](gap**2)

@@ -32,7 +32,7 @@ from pbftest import (
 )
 from pbftest._rng import derive_seed
 
-from conftest import random_instance
+from instances import random_instance
 
 WORKERS = min(os.cpu_count() or 1, 4)
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -69,6 +70,27 @@ def test_overflowing_input_is_numerical_error(tmp_path, capsys):
             assert code == 3
             assert out == ""
             assert "numerical failure" in err
+
+
+def test_l2_is_finite_where_squared_gaps_overflow(tmp_path, capsys):
+    # near 1e100 the squared projection gaps overflow but the gaps do not;
+    # l2 needs only the gaps, so test and spectrum both give finite numbers
+    rng = np.random.default_rng(1)
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    np.savetxt(x, rng.standard_normal((30, 9)) * 1e100, delimiter=",")
+    np.savetxt(y, (rng.standard_normal((30, 9)) + 2.0) * 1e100, delimiter=",")
+    common = ("--repr", "coeff", "--phi", "l2", "--seed", "1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "test", str(x), str(y), "--b", "99", *common)
+        assert code == 0
+        payload = json.loads(out)
+        assert math.isfinite(payload["zeta_hat"]) and payload["zeta_hat"] > 0.0
+        assert 0.0 < payload["p_value"] <= 1.0
+        code, out, _ = run_cli(capsys, "spectrum", "--input", str(x), "--draws", "500", *common)
+    assert code == 0
+    numbers = [float(line.split(",")[1]) for line in out.splitlines() if line[:1].isdigit()]
+    assert numbers and all(math.isfinite(v) for v in numbers)
 
 
 def test_bad_alpha_is_usage_error(tmp_path, capsys):
@@ -180,7 +202,7 @@ def test_power_config_file_with_flag_override(tmp_path, capsys):
 
 def test_sweep_cli(tmp_path, capsys):
     ledger = tmp_path / "sweep.csv"
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "sweep", "--scenario", "ex4i", "--n", "8", "--m", "8", "--b", "40",
         "--reps", "10", "--phi", "l2", "--seed", "12", "--param", "r",
         "--values", "0,1", "--out", str(ledger), "--json",
@@ -188,6 +210,10 @@ def test_sweep_cli(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert [row["value"] for row in payload["results"]] == [0.0, 1.0]
+    # progress counts replications across both points, 10 reps each
+    progress = [line for line in err.splitlines() if line.startswith("replication ")]
+    assert progress[-1] == "replication 20/20"
+    assert not any(line.endswith("/10") for line in progress)
 
 
 def test_spectrum_cli_eigenvalues_nonincreasing(tmp_path, capsys):

@@ -18,7 +18,7 @@ from pbftest import (
 )
 from pbftest.simgen import ScenarioParams
 
-from conftest import random_instance
+from instances import random_instance
 
 HAND_GRAM = GramMatrix(np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]]), 1, 1)
 HAND_LABELS = np.array([0, 1])
