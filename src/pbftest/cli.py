@@ -254,6 +254,8 @@ def cmd_study(args) -> int:
         rows = power_rows(config, run_power(config, progress=_progress_printer(config.reps)))
     else:
         values = _float_list(args.values)
+        if not values:
+            raise UsageError("--values needs at least one number")
         progress = _progress_printer(config.reps * len(values))
         rows = run_sweep(config, args.param, values, progress=progress)
     append_ledger(args.out, rows)
@@ -298,8 +300,8 @@ def cmd_spectrum(args) -> int:
         print(f"{k},{lam:.12g}")
     print()
     print("quantile,value")
-    for q in quantiles:
-        print(f"{q:g},{float(np.quantile(draws, q)):.12g}")
+    for q, value in zip(quantiles, np.quantile(draws, quantiles)):  # one partition
+        print(f"{q:g},{float(value):.12g}")
     return EXIT_OK
 
 

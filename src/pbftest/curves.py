@@ -7,7 +7,7 @@ the only input the test statistic ever needs.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,6 +109,8 @@ class FunctionalSample:
     labels: np.ndarray
     kind: str = GRID
     grid: GridSpec | None = None
+    n: int = field(init=False)
+    m: int = field(init=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -134,14 +136,8 @@ class FunctionalSample:
         m = int(np.sum(labs == 1))
         if n < 1 or m < 1:
             raise ValueError("both groups must be non-empty")
-
-    @property
-    def n(self) -> int:
-        return int(np.sum(self.labels == 0))
-
-    @property
-    def m(self) -> int:
-        return int(np.sum(self.labels == 1))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
     @property
     def size(self) -> int:

@@ -66,6 +66,8 @@ class ScenarioConfig:
         if self.n < 1 or self.m < 1:
             raise ValueError("both group sizes must be at least 1")
         object.__setattr__(self, "phis", tuple(PhiKind(p) for p in self.phis))
+        if not self.phis:
+            raise ValueError("at least one phi is required")
 
     def params(self) -> ScenarioParams:
         return ScenarioParams(r=self.r, sigma=self.sigma, d=self.d, delta=self.delta)

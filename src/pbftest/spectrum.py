@@ -15,7 +15,7 @@ import numpy as np
 
 from ._rng import substream
 from .curves import GramMatrix, NumericalError
-from .statistic import PhiKind, _phi_block
+from .statistic import PhiKind, _pair_phi, _pairs
 
 _TRUNCATION_RATIO = 1e-12
 # Memory bounds: directions per phi block in direction_averaged_distance and
@@ -72,10 +72,11 @@ def direction_averaged_distance(G, kind: PhiKind) -> np.ndarray:
     entries = _gram_entries(G)
     kind = PhiKind(kind)
     N = entries.shape[0]
-    acc = np.zeros((N, N))
+    pairs = _pairs(N)
+    dist = np.zeros((N, N))
     for start in range(0, N, _DIRECTION_BLOCK):
-        acc += _phi_block(entries[:, start : start + _DIRECTION_BLOCK].T, kind).sum(axis=0)
-    return acc / N
+        dist[pairs] += _pair_phi(entries[:, start : start + _DIRECTION_BLOCK], kind).sum(axis=1)
+    return (dist + dist.T) / N
 
 
 def empirical_h_matrix(G, kind: PhiKind) -> np.ndarray:
@@ -175,8 +176,10 @@ def sample_limit_law(
         raise ValueError("shift vector length must match the eigenvalue count")
     rng = substream(seed)
     out = np.empty(draws)
+    block = np.empty((min(draws, _DRAW_BLOCK), lam.size))
     for start in range(0, draws, _DRAW_BLOCK):
         stop = min(start + _DRAW_BLOCK, draws)
-        xi = rng.standard_normal((stop - start, lam.size))
-        out[start:stop] = ((xi + shifts) ** 2) @ lam
+        xi = rng.standard_normal(out=block[: stop - start])
+        xi += shifts
+        out[start:stop] = np.square(xi, out=xi) @ lam
     return out

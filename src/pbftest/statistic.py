@@ -8,6 +8,7 @@ groups.  Everything is driven off the Gram matrix, so relabelings
 """
 
 import enum
+import functools
 import math
 
 import numpy as np
@@ -30,10 +31,11 @@ class PhiKind(str, enum.Enum):
     LOG = "log"
 
 
+# Each overwrites its float array argument with phi of it: no temporaries.
 _PHI_ARRAY = {
-    PhiKind.L2: lambda z: 0.5 * np.sqrt(z),
-    PhiKind.EXP: lambda z: -np.expm1(-0.5 * z),
-    PhiKind.LOG: np.log1p,
+    PhiKind.L2: lambda z: np.multiply(np.sqrt(z, out=z), 0.5, out=z),
+    PhiKind.EXP: lambda z: np.negative(np.expm1(np.multiply(z, -0.5, out=z), out=z), out=z),
+    PhiKind.LOG: lambda z: np.log1p(z, out=z),
 }
 
 _PHI_SCALAR = {
@@ -49,7 +51,7 @@ def phi_eval(kind: PhiKind, z):
     arr = np.asarray(z, dtype=float)
     if np.any(arr < 0):
         raise ValueError("phi is defined on nonnegative arguments only")
-    out = _PHI_ARRAY[kind](arr)
+    out = _PHI_ARRAY[kind](arr.copy())
     return float(out) if np.isscalar(z) or arr.ndim == 0 else out
 
 
@@ -80,8 +82,8 @@ def bf_statistic_1d(projections, labels, kind: PhiKind) -> float:
     labels, n, m = _group_sizes(labels)
     if p.shape != labels.shape:
         raise ValueError("projections and labels must have the same length")
-    amat = (labels == 0).astype(float)[None, :]
-    return float(_energy_block(p[None, :], amat, n, m, kind)[0, 0])
+    y = np.where(labels == 0, 1.0 / n, -1.0 / m)[None, :]
+    return float(_quadratic(_pair_phi(p[:, None], kind)[:, 0], y, n, m)[0])
 
 
 class StatisticValue:
@@ -192,58 +194,83 @@ def batch_statistics(
     L = amat.shape[0]
     if amat.shape[1] != N:
         raise ValueError("relabeling matrix width must match the Gram dimension")
-    chunk = _direction_chunk(N, L)
-    # mixture weight of a direction: 1/(2n) in the first group, 1/(2m) in the second
-    w_a = 1.0 / (2.0 * n)
-    w_b = 1.0 / (2.0 * m)
-    zeta = np.zeros(L)
+    # Relabeling l weighs pair (j, k) by -2 y_j y_k, where y is 1/n on its first
+    # group and -1/m on its second, and direction c by |y_c| / 2: 1/(2m) plus
+    # `excess` on the first group.  So zeta is 1/(2m) times the statistic of
+    # the direction-summed phi, plus `excess` times the first group's
+    # per-direction statistics, a term that vanishes for n = m.
+    excess = 0.5 / n - 0.5 / m
+    weights = _pair_weights(amat, n, m) if excess else None
+    summed = np.zeros(N * (N - 1) // 2)
+    first = np.zeros(L)
+    chunk = _direction_chunk(N)
     for start in range(0, N, chunk):
         sl = slice(start, min(start + chunk, N))
-        t_stat = _energy_block(entries[:, sl].T, amat, n, m, kind)
-        weights = w_b + (w_a - w_b) * amat[:, sl]
-        zeta += np.einsum("lc,lc->l", weights, t_stat)
-    return zeta
+        phi = _pair_phi(entries[:, sl], kind)
+        summed += phi.sum(axis=1)
+        if excess:
+            # each weight column sums to 1/n + 1/m: centering phi per direction
+            # makes the long pair sum cancel on its spread, not its level
+            level = phi.mean(axis=0)
+            phi -= level
+            t_stat = weights.T @ phi + (1.0 / n + 1.0 / m) * level
+            first += np.einsum("lc,lc->l", amat[:, sl], t_stat)
+    y = np.where(amat == 1.0, 1.0 / n, -1.0 / m)
+    return _quadratic(summed, y, n, m) / (2.0 * m) + excess * first
 
 
-# Directions per kernel block: c is the largest with c * max(N*L, N*N) * 2
-# words under the budget (the phi block plus the tensordot product).
-_CHUNK_BUDGET = 6.0e7
-_WORDS_PER_ENTRY = 2
+# Directions per kernel block: the largest c with c * P words of pair phi-block
+# under the budget, P = N(N-1)/2.  The n != m GEMM ran fastest on whole blocks
+# at every measured size; 2^22 words (32 MiB) is the least that keeps N <= 203
+# whole.  With n = m only the block's memory depends on it.
+_CHUNK_BUDGET = 1 << 22
 
 
-def _direction_chunk(N: int, L: int) -> int:
-    words = max(N * L, N * N) * _WORDS_PER_ENTRY
-    return max(1, min(N, int(_CHUNK_BUDGET / max(words, 1))))
+def _direction_chunk(N: int) -> int:
+    return max(1, min(N, _CHUNK_BUDGET // max(N * (N - 1) // 2, 1)))
 
 
-def _energy_block(proj: np.ndarray, amat: np.ndarray, n: int, m: int, kind: PhiKind) -> np.ndarray:
-    """`bf_statistic_1d` for c directions (proj, c x N) under L relabelings
-    (amat, L x N first-group flags); returns L x c.
+@functools.lru_cache(maxsize=8)
+def _pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the P = N(N-1)/2 distinct pairs j < k."""
+    return np.triu_indices(N, 1)
 
-    Per (relabeling, direction), s_aa sums phi over ordered pairs inside the
-    first group, t over pairs whose first index is in it, total over all.
+
+def _pair_weights(amat: np.ndarray, n: int, m: int) -> np.ndarray:
+    """P x L weight of pair j < k in the 1-d statistic of relabeling l, by how
+    many of j, k are in the first group: none -2/m^2, one 2/(nm), both -2/n^2."""
+    iu, ju = _pairs(amat.shape[1])
+    flags = np.ascontiguousarray(amat.T, dtype=np.int8)  # N x L
+    table = np.array([-2.0 / (m * m), 2.0 / (n * m), -2.0 / (n * n)])
+    return table[np.take(flags, iu, axis=0) + np.take(flags, ju, axis=0)]
+
+
+def _quadratic(dist: np.ndarray, y: np.ndarray, n: int, m: int) -> np.ndarray:
+    """-y_l' D y_l for each row of y (L x N): the 1-d statistic of the pair
+    values `dist` (P), with D symmetric, `dist` off its zero diagonal.
+
+    D is centered on its mean pair value first: each row of y sums to 0 and
+    its squares to 1/n + 1/m, so the mean comes back as a constant and the
+    quadratic form cancels on the spread of D, not its level.
     """
-    mat = _phi_block(proj, kind)  # (c, N, N)
-    rows = mat.sum(axis=2)  # (c, N)
-    total = rows.sum(axis=1)  # (c,)
-    x = np.tensordot(amat, mat, axes=([1], [1]))  # (L, c, N)
-    s_aa = np.einsum("lck,lk->lc", x, amat)
-    t = amat @ rows.T  # (L, c)
-    # cross-group sum t - s_aa, second-group sum total - 2 t + s_aa
-    inv_nm = 2.0 / (n * m)
-    inv_n2 = 1.0 / (n * n)
-    inv_m2 = 1.0 / (m * m)
-    return inv_nm * (t - s_aa) - inv_n2 * s_aa - inv_m2 * (total[None, :] - 2.0 * t + s_aa)
+    N = y.shape[1]
+    level = dist.mean()
+    centered = np.zeros((N, N))
+    centered[_pairs(N)] = dist - level
+    centered += centered.T
+    return level * (1.0 / n + 1.0 / m) - np.einsum("lk,lk->l", y @ centered, y)
 
 
-def _phi_block(proj: np.ndarray, kind: PhiKind) -> np.ndarray:
-    """phi((p_j - p_k)^2) per direction: c x N projections -> c x N x N.
+def _pair_phi(cols: np.ndarray, kind: PhiKind) -> np.ndarray:
+    """phi((p_j - p_k)^2) for the distinct pairs j < k: N x c -> P x c.
 
     l2 is evaluated on the gap as |p_j - p_k| / 2: it equals sqrt of the
     square exactly wherever the square neither overflows nor underflows,
     and stays finite where the square would overflow.
     """
-    gap = proj[:, :, None] - proj[:, None, :]
+    iu, ju = _pairs(cols.shape[0])
+    gap = cols[iu]
+    gap -= cols[ju]
     if kind == PhiKind.L2:
-        return 0.5 * np.abs(gap)
-    return _PHI_ARRAY[kind](gap**2)
+        return np.multiply(np.abs(gap, out=gap), 0.5, out=gap)
+    return _PHI_ARRAY[kind](np.square(gap, out=gap))

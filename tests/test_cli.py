@@ -171,6 +171,16 @@ def test_power_writes_ledger_and_json(tmp_path, capsys):
     assert len(rows) == 2
     assert rows[0]["scenario"] == "ex3"
     assert 0.0 <= float(rows[0]["rate"]) <= 1.0
+    # a --phi list with no names is a usage error that runs nothing
+    empty = tmp_path / "empty.csv"
+    code, out, err = run_cli(
+        capsys, "power", "--scenario", "ex3", "--n", "10", "--m", "10", "--b", "60",
+        "--reps", "20", "--phi", ",", "--seed", "6", "--out", str(empty),
+    )
+    assert code == 1
+    assert out == ""
+    assert "phi" in err
+    assert not empty.exists()
 
 
 def test_power_config_file_with_flag_override(tmp_path, capsys):
@@ -214,6 +224,17 @@ def test_sweep_cli(tmp_path, capsys):
     progress = [line for line in err.splitlines() if line.startswith("replication ")]
     assert progress[-1] == "replication 20/20"
     assert not any(line.endswith("/10") for line in progress)
+    # a --values list with no numbers is a usage error that runs nothing
+    empty = tmp_path / "empty.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "--scenario", "ex4i", "--n", "8", "--m", "8", "--b", "40",
+        "--reps", "10", "--phi", "l2", "--seed", "12", "--param", "r",
+        "--values", ",", "--out", str(empty),
+    )
+    assert code == 1
+    assert out == ""
+    assert "replication" not in err
+    assert not empty.exists()
 
 
 def test_spectrum_cli_eigenvalues_nonincreasing(tmp_path, capsys):

@@ -29,6 +29,8 @@ def test_config_validation():
         ScenarioConfig(scenario="ex1", n=10, m=10, alpha=1.0)
     with pytest.raises(ValueError):
         ScenarioConfig(scenario="ex1", n=0, m=10)
+    with pytest.raises(ValueError, match="phi"):
+        ScenarioConfig(scenario="ex1", n=10, m=10, phis=())
     cfg = ScenarioConfig(scenario="ex1", n=5, m=5, phis=("l2", "exp"))
     assert cfg.phis == (PhiKind.L2, PhiKind.EXP)
 

@@ -75,6 +75,8 @@ def test_direction_averaged_distance_matches_pair_loop(rng):
     entries = gram_entries(values, "coeff")
     for kind in PhiKind:
         dist = direction_averaged_distance(entries, kind)
+        assert np.array_equal(dist, dist.T)
+        assert np.all(np.diag(dist) == 0.0)
         for a, b in ((0, 0), (0, 1), (3, 69), (69, 3), (41, 17)):
             gaps = (entries[:, a] - entries[:, b]) ** 2
             direct = sum(phi_eval(kind, float(z)) for z in gaps) / 70.0

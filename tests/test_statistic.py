@@ -1,7 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pbftest import (
     GramMatrix,
@@ -16,6 +20,7 @@ from pbftest import (
     pbf_statistic_oracle,
     phi_eval,
 )
+from pbftest import statistic
 from pbftest.simgen import ScenarioParams
 
 from instances import random_instance
@@ -199,3 +204,42 @@ def test_mean_statistic_separates_shift_levels():
         null_vals.append(pbf_statistic(gram(s0), s0.labels, PhiKind.L2).zeta_hat)
         alt_vals.append(pbf_statistic(gram(s1), s1.labels, PhiKind.L2).zeta_hat)
     assert np.mean(alt_vals) > np.mean(null_vals)
+
+
+@st.composite
+def relabeled_instances(draw):
+    """Gram matrix of a small coefficient sample plus relabelings of it."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.one_of(st.just(n), st.integers(1, 7)))
+    size = n + m
+    values = draw(arrays(float, (size, draw(st.integers(1, 4))), elements=st.floats(-3.0, 3.0)))
+    orders = draw(st.lists(st.permutations(range(size)), min_size=1, max_size=4))
+    amat = np.zeros((len(orders), size))
+    for row, order in zip(amat, orders):
+        row[list(order[:n])] = 1.0
+    return GramMatrix(gram_entries(values, "coeff"), n, m), amat
+
+
+@settings(max_examples=80, deadline=None)
+@given(relabeled_instances(), st.sampled_from(list(PhiKind)), st.data())
+def test_batch_statistics_matches_oracle_property(instance, kind, data):
+    G, amat = instance
+    N = G.size
+    if G.n == G.m:
+        # with equal groups a relabeling and its complement are the same partition
+        amat = np.vstack([amat, 1.0 - amat])
+    chunk = data.draw(st.integers(1, N - 1), label="directions per block")
+    pairs = N * (N - 1) // 2
+    whole = batch_statistics(G.entries, amat, G.n, G.m, kind)
+    with mock.patch.object(statistic, "_CHUNK_BUDGET", chunk * pairs):
+        assert statistic._direction_chunk(N) == chunk < N
+        blocked = batch_statistics(G.entries, amat, G.n, G.m, kind)
+    for flags, a, b in zip(amat, whole, blocked):
+        oracle = pbf_statistic_oracle(G, (1.0 - flags).astype(np.int8), kind)
+        # criterion 1's tolerance
+        assert abs(a - oracle) <= 1e-10 * (1.0 + abs(oracle))
+        assert abs(b - oracle) <= 1e-10 * (1.0 + abs(oracle))
+    if G.n == G.m:
+        half = len(amat) // 2
+        assert np.array_equal(whole[:half], whole[half:])
+        assert np.array_equal(blocked[:half], blocked[half:])
