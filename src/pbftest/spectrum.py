@@ -15,13 +15,11 @@ import numpy as np
 
 from ._rng import substream
 from .curves import GramMatrix, NumericalError
-from .statistic import PhiKind, _pair_phi, _pairs
+from .statistic import PhiKind, _pairs, _phi_sums
 
 _TRUNCATION_RATIO = 1e-12
-# Memory bounds: directions per phi block in direction_averaged_distance and
-# normal draws per block in sample_limit_law.
-_DIRECTION_BLOCK = 64
-_DRAW_BLOCK = 32768
+# Draws per block in sample_limit_law, few enough for the block to stay in cache.
+_DRAW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -72,10 +70,8 @@ def direction_averaged_distance(G, kind: PhiKind) -> np.ndarray:
     entries = _gram_entries(G)
     kind = PhiKind(kind)
     N = entries.shape[0]
-    pairs = _pairs(N)
     dist = np.zeros((N, N))
-    for start in range(0, N, _DIRECTION_BLOCK):
-        dist[pairs] += _pair_phi(entries[:, start : start + _DIRECTION_BLOCK], kind).sum(axis=1)
+    dist[_pairs(N)] = _phi_sums(entries, kind)
     return (dist + dist.T) / N
 
 
@@ -167,19 +163,17 @@ def sample_limit_law(
     if lam.size == 0:
         return np.zeros(draws)
     if shift is None:
-        shifts = np.zeros(lam.size)
-    elif isinstance(shift, LimitShift):
-        shifts = shift.per_component()
+        shifts = None
     else:
-        shifts = np.asarray(shift, dtype=float)
-    if shifts.shape != lam.shape:
-        raise ValueError("shift vector length must match the eigenvalue count")
+        shifts = shift.per_component() if isinstance(shift, LimitShift) else np.asarray(shift, float)
+        if shifts.shape != lam.shape:
+            raise ValueError("shift vector length must match the eigenvalue count")
     rng = substream(seed)
     out = np.empty(draws)
     block = np.empty((min(draws, _DRAW_BLOCK), lam.size))
     for start in range(0, draws, _DRAW_BLOCK):
-        stop = min(start + _DRAW_BLOCK, draws)
-        xi = rng.standard_normal(out=block[: stop - start])
-        xi += shifts
-        out[start:stop] = np.square(xi, out=xi) @ lam
+        xi = rng.standard_normal(out=block[: min(_DRAW_BLOCK, draws - start)])
+        if shifts is not None:
+            xi += shifts
+        out[start : start + len(xi)] = np.square(xi, out=xi) @ lam
     return out

@@ -83,7 +83,7 @@ def bf_statistic_1d(projections, labels, kind: PhiKind) -> float:
     if p.shape != labels.shape:
         raise ValueError("projections and labels must have the same length")
     y = np.where(labels == 0, 1.0 / n, -1.0 / m)[None, :]
-    return float(_quadratic(_pair_phi(p[:, None], kind)[:, 0], y, n, m)[0])
+    return float(_quadratic(_phi_sums(p[:, None], kind), y, n, m)[0])
 
 
 class StatisticValue:
@@ -200,34 +200,35 @@ def batch_statistics(
     # the direction-summed phi, plus `excess` times the first group's
     # per-direction statistics, a term that vanishes for n = m.
     excess = 0.5 / n - 0.5 / m
-    weights = _pair_weights(amat, n, m) if excess else None
-    summed = np.zeros(N * (N - 1) // 2)
-    first = np.zeros(L)
-    chunk = _direction_chunk(N)
-    for start in range(0, N, chunk):
-        sl = slice(start, min(start + chunk, N))
-        phi = _pair_phi(entries[:, sl], kind)
-        summed += phi.sum(axis=1)
+    summed = np.empty(N * (N - 1) // 2)
+    if excess:
+        flags = np.ascontiguousarray(amat.T, dtype=np.int8)  # N x L
+        t_stat = np.zeros((L, N))  # per-direction statistics
+        level = None
+    for start, phi in _pair_blocks(entries, kind):
+        stop = start + len(phi)
+        summed[start:stop] = phi.sum(axis=1)
         if excess:
-            # each weight column sums to 1/n + 1/m: centering phi per direction
-            # makes the long pair sum cancel on its spread, not its level
-            level = phi.mean(axis=0)
+            # each weight column sums to 1/n + 1/m, so a constant per direction
+            # comes out of the pair sum exactly; taking out a typical value (the
+            # first block's mean) makes it cancel on the spread of phi, not its level
+            if level is None:
+                level = phi.mean(axis=0)
             phi -= level
-            t_stat = weights.T @ phi + (1.0 / n + 1.0 / m) * level
-            first += np.einsum("lc,lc->l", amat[:, sl], t_stat)
+            t_stat += _pair_weights(flags, start, stop, n, m).T @ phi
     y = np.where(amat == 1.0, 1.0 / n, -1.0 / m)
-    return _quadratic(summed, y, n, m) / (2.0 * m) + excess * first
+    zeta = _quadratic(summed, y, n, m) / (2.0 * m)
+    if excess:
+        zeta += excess * np.einsum("lc,lc->l", amat, t_stat + (1.0 / n + 1.0 / m) * level)
+    return zeta
 
 
-# Directions per kernel block: the largest c with c * P words of pair phi-block
-# under the budget, P = N(N-1)/2.  The n != m GEMM ran fastest on whole blocks
-# at every measured size; 2^22 words (32 MiB) is the least that keeps N <= 203
-# whole.  With n = m only the block's memory depends on it.
-_CHUNK_BUDGET = 1 << 22
-
-
-def _direction_chunk(N: int) -> int:
-    return max(1, min(N, _CHUNK_BUDGET // max(N * (N - 1) // 2, 1)))
+# Pairs per kernel block: as many as fit in _BLOCK_WORDS words of phi-block
+# over every direction, 256 KiB, so that a block stays in cache.  On one BLAS
+# thread 2^15 was the fastest of 2^15, 2^17, 2^19 and 2^21 words, or level
+# with them, at (N, L) = (40, 301), (100, 301) and (200, 501) for n = m and
+# n != m; at (200, 501), n = m, it took 15 ms against 41 ms for 2^21.
+_BLOCK_WORDS = 1 << 15
 
 
 @functools.lru_cache(maxsize=8)
@@ -236,13 +237,13 @@ def _pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(N, 1)
 
 
-def _pair_weights(amat: np.ndarray, n: int, m: int) -> np.ndarray:
-    """P x L weight of pair j < k in the 1-d statistic of relabeling l, by how
-    many of j, k are in the first group: none -2/m^2, one 2/(nm), both -2/n^2."""
-    iu, ju = _pairs(amat.shape[1])
-    flags = np.ascontiguousarray(amat.T, dtype=np.int8)  # N x L
+def _pair_weights(flags: np.ndarray, start: int, stop: int, n: int, m: int) -> np.ndarray:
+    """Weights of pairs start..stop-1 (in `_pairs` order) in the 1-d statistic
+    of each relabeling, P_b x L, by how many of j, k are in the first group
+    (`flags`, N x L int8): none -2/m^2, one 2/(nm), both -2/n^2."""
+    iu, ju = _pairs(flags.shape[0])
     table = np.array([-2.0 / (m * m), 2.0 / (n * m), -2.0 / (n * n)])
-    return table[np.take(flags, iu, axis=0) + np.take(flags, ju, axis=0)]
+    return table[flags[iu[start:stop]] + flags[ju[start:stop]]]
 
 
 def _quadratic(dist: np.ndarray, y: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -261,16 +262,34 @@ def _quadratic(dist: np.ndarray, y: np.ndarray, n: int, m: int) -> np.ndarray:
     return level * (1.0 / n + 1.0 / m) - np.einsum("lk,lk->l", y @ centered, y)
 
 
-def _pair_phi(cols: np.ndarray, kind: PhiKind) -> np.ndarray:
-    """phi((p_j - p_k)^2) for the distinct pairs j < k: N x c -> P x c.
+def _pair_blocks(cols: np.ndarray, kind: PhiKind):
+    """Yield (start, block): phi((p_j - p_k)^2) for the pairs start, start+1, ...
+    of the distinct pairs j < k in `_pairs` order; N x c -> P_b x c.
 
-    l2 is evaluated on the gap as |p_j - p_k| / 2: it equals sqrt of the
-    square exactly wherever the square neither overflows nor underflows,
-    and stays finite where the square would overflow.
+    The blocks share one buffer, so each must be used before the next is
+    asked for.  l2 is evaluated on the gap as |p_j - p_k| / 2: it equals
+    sqrt of the square exactly wherever the square neither overflows nor
+    underflows, and stays finite where the square would overflow.
     """
     iu, ju = _pairs(cols.shape[0])
-    gap = cols[iu]
-    gap -= cols[ju]
-    if kind == PhiKind.L2:
-        return np.multiply(np.abs(gap, out=gap), 0.5, out=gap)
-    return _PHI_ARRAY[kind](np.square(gap, out=gap))
+    c = cols.shape[1]
+    size = max(1, min(len(iu), _BLOCK_WORDS // c))
+    gap, other = np.empty((size, c)), np.empty((size, c))
+    for start in range(0, len(iu), size):
+        stop = min(start + size, len(iu))
+        # mode="clip" (the indices are in range) lets take write straight into out
+        block = np.take(cols, iu[start:stop], axis=0, out=gap[: stop - start], mode="clip")
+        block -= np.take(cols, ju[start:stop], axis=0, out=other[: stop - start], mode="clip")
+        if kind == PhiKind.L2:
+            yield start, np.multiply(np.abs(block, out=block), 0.5, out=block)
+        else:
+            yield start, _PHI_ARRAY[kind](np.square(block, out=block))
+
+
+def _phi_sums(cols: np.ndarray, kind: PhiKind) -> np.ndarray:
+    """sum_c phi((p_jc - p_kc)^2) for the distinct pairs j < k: N x c -> P."""
+    N = cols.shape[0]
+    summed = np.empty(N * (N - 1) // 2)
+    for start, phi in _pair_blocks(cols, kind):
+        summed[start : start + len(phi)] = phi.sum(axis=1)
+    return summed

@@ -228,11 +228,12 @@ def test_batch_statistics_matches_oracle_property(instance, kind, data):
     if G.n == G.m:
         # with equal groups a relabeling and its complement are the same partition
         amat = np.vstack([amat, 1.0 - amat])
-    chunk = data.draw(st.integers(1, N - 1), label="directions per block")
     pairs = N * (N - 1) // 2
+    words = data.draw(st.integers(0, (pairs - 1) * N), label="words per block")
     whole = batch_statistics(G.entries, amat, G.n, G.m, kind)
-    with mock.patch.object(statistic, "_CHUNK_BUDGET", chunk * pairs):
-        assert statistic._direction_chunk(N) == chunk < N
+    with mock.patch.object(statistic, "_BLOCK_WORDS", words):
+        blocks = sum(1 for _ in statistic._pair_blocks(G.entries, kind))
+        assert blocks > 1 or pairs == 1
         blocked = batch_statistics(G.entries, amat, G.n, G.m, kind)
     for flags, a, b in zip(amat, whole, blocked):
         oracle = pbf_statistic_oracle(G, (1.0 - flags).astype(np.int8), kind)
