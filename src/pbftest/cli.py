@@ -6,6 +6,7 @@ are pipeable.  Exit codes: 0 completed, 1 usage error, 2 data error,
 """
 
 import argparse
+import functools
 import json
 import secrets
 import sys
@@ -79,7 +80,10 @@ def _load_grid(path) -> GridSpec:
     values, _, _ = read_curves_csv(path)
     if values.shape[0] != 1:
         raise DataError(f"{path}: grid file must hold exactly one row of abscissae")
-    return GridSpec(values[0])
+    try:
+        return GridSpec(values[0])
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _add_common_scenario_flags(sub):
@@ -99,6 +103,7 @@ def _add_common_scenario_flags(sub):
     )
 
 
+@functools.cache  # built once per process; parse_args returns a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pbftest", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -108,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("y_csv", help="second-sample curves (wide CSV)")
     p_test.add_argument("--phi", default="l2", help="distance transform: l2, exp or log")
     p_test.add_argument("--b", type=int, default=10000, help="number of random permutations")
-    p_test.add_argument("--alpha", type=float, default=0.05, help="nominal level (decision is the caller's)")
     p_test.add_argument("--seed", type=int, default=None)
     p_test.add_argument("--repr", choices=[GRID, COEFF], default=GRID, dest="repr_kind")
     p_test.add_argument("--grid", default=None, help="one-line CSV of grid abscissae")
@@ -157,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--header", action="store_true")
     p_spec.add_argument("--draws", type=int, default=100000, help="Monte-Carlo draws for quantiles")
     p_spec.add_argument("--quantiles", default="0.5,0.9,0.95,0.99")
-    p_spec.add_argument("--lambda-ratio", type=float, default=0.5, dest="lambda_ratio")
     p_spec.add_argument("--seed", type=int, default=None)
     p_spec.set_defaults(handler=cmd_spectrum)
 
@@ -170,8 +173,6 @@ def cmd_test(args) -> int:
         raise UsageError("test takes exactly one phi")
     if args.b < 1:
         raise UsageError("--b must be at least 1")
-    if not 0.0 < args.alpha < 1.0:
-        raise UsageError("--alpha must lie strictly between 0 and 1")
     seed = _effective_seed(args.seed)
     grid = _load_grid(args.grid) if args.grid else None
     sample, dropped = ingest_pair(args.x_csv, args.y_csv, args.repr_kind, grid, args.header)
@@ -293,7 +294,7 @@ def cmd_spectrum(args) -> int:
     grid = _load_grid(args.grid) if args.grid else None
     grid = _resolve_grid(args.repr_kind, grid, abscissae, values.shape[1])
     entries = gram_entries(values, args.repr_kind, grid)
-    spec = spectrum_estimate(entries, phi[0], args.lambda_ratio)
+    spec = spectrum_estimate(entries, phi[0])
     draws = sample_limit_law(spec, args.draws, seed=seed)
     print("k,eigenvalue")
     for k, lam in enumerate(spec.eigenvalues, start=1):

@@ -124,7 +124,7 @@ def _limit_worker_blas():
         from threadpoolctl import threadpool_limits
 
         threadpool_limits(1)
-    except Exception:
+    except ImportError:  # optional dependency; without it export OPENBLAS_NUM_THREADS=1
         pass
 
 
@@ -307,7 +307,10 @@ def _resolve_grid(repr_kind, grid, abscissae, width) -> GridSpec | None:
     if grid is not None:
         spec = grid
     elif abscissae is not None:
-        spec = GridSpec(abscissae)
+        try:
+            spec = GridSpec(abscissae)
+        except ValueError as exc:
+            raise DataError(f"header abscissae: {exc}") from exc
     else:
         spec = equispaced_grid(width)
     if spec.points.size != width:

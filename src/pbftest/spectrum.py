@@ -29,7 +29,6 @@ class KernelSpectrum:
     eigenvalues: np.ndarray
     n_used: int
     phi: PhiKind
-    mixture_ratio: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -90,12 +89,7 @@ def empirical_h_matrix(G, kind: PhiKind) -> np.ndarray:
     return upper + np.triu(h, 1).T
 
 
-def spectrum_from_kernel_matrix(
-    h: np.ndarray,
-    kind: PhiKind,
-    mixture_ratio: float = 0.5,
-    n_used: int | None = None,
-) -> KernelSpectrum:
+def spectrum_from_kernel_matrix(h: np.ndarray, kind: PhiKind) -> KernelSpectrum:
     """Eigenvalues of h / N, sorted descending and truncated.
 
     Trailing eigenvalues below 1e-12 of the largest are dropped; a kernel
@@ -104,7 +98,7 @@ def spectrum_from_kernel_matrix(
     h = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h)):
         raise NumericalError("kernel matrix contains non-finite entries")
-    N = h.shape[0] if n_used is None else int(n_used)
+    N = h.shape[0]
     try:
         lam = np.linalg.eigvalsh(h / N)
     except np.linalg.LinAlgError as exc:
@@ -116,33 +110,25 @@ def spectrum_from_kernel_matrix(
         kept = np.empty(0)
     else:
         kept = lam[lam >= _TRUNCATION_RATIO * lam[0]]
-    return KernelSpectrum(
-        eigenvalues=kept,
-        n_used=N,
-        phi=PhiKind(kind),
-        mixture_ratio=float(mixture_ratio),
-    )
+    return KernelSpectrum(eigenvalues=kept, n_used=N, phi=PhiKind(kind))
 
 
-def spectrum_estimate(G, kind: PhiKind, lambda_ratio: float = 0.5) -> KernelSpectrum:
+def spectrum_estimate(G, kind: PhiKind) -> KernelSpectrum:
     """Estimate the limiting-law eigenvalues from a null Gram matrix.
 
     Args:
         G: Gram matrix (or raw square array) of a single-distribution sample.
         kind: Distance transform.
-        lambda_ratio: Limit of n/(n+m), carried along for shifted sampling.
 
     Returns:
         KernelSpectrum with nonincreasing eigenvalues.
     """
-    if not 0.0 < lambda_ratio < 1.0:
-        raise ValueError("lambda_ratio must lie strictly between 0 and 1")
     entries = _gram_entries(G)
     if entries.shape[0] < 3:
         raise ValueError("spectrum estimation needs at least 3 observations")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite h raises below
         h = empirical_h_matrix(entries, kind)
-    return spectrum_from_kernel_matrix(h, kind, lambda_ratio)
+    return spectrum_from_kernel_matrix(h, kind)
 
 
 def sample_limit_law(

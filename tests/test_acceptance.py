@@ -245,7 +245,7 @@ def test_criterion_10_spectral_diagnostic():
     G = gram(sample)
     result = permutation_test(sample, PhiKind.L2, B=2000, seed=2026, keep_replicates=True)
     perm_scaled = result.replicate_stats * (100 * 100 / 200)
-    spec = spectrum_estimate(G, PhiKind.L2, 0.5)
+    spec = spectrum_estimate(G, PhiKind.L2)
     draws = sample_limit_law(spec, 100_000, seed=2026)
 
     q_perm = float(np.quantile(perm_scaled, 0.95))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pbftest
-from pbftest.cli import main
+from pbftest.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -267,6 +267,43 @@ def test_spectrum_grid_length_mismatch_is_data_error(tmp_path, capsys):
         code, _, err = run_cli(capsys, *command, "--grid", str(grid), "--seed", "1")
         assert code == 2
         assert "grid length" in err
+
+
+def test_malformed_grid_is_data_error(tmp_path, capsys):
+    # abscissae that decrease or are not finite, from a --grid file or a
+    # --header row, make a malformed file: exit 2, not a usage error
+    curves = tmp_path / "null.csv"
+    np.savetxt(curves, np.random.default_rng(5).standard_normal((10, 4)), delimiter=",")
+    body = curves.read_text()
+    for row in ("0,0.5,0.4,1", "0,0.5,inf,1"):
+        grid, headed = tmp_path / "grid.csv", tmp_path / "headed.csv"
+        grid.write_text(row + "\n")
+        headed.write_text(row + "\n" + body)
+        for command in (
+            ["test", str(curves), str(curves), "--grid", str(grid)],
+            ["test", str(headed), str(headed), "--header"],
+            ["spectrum", "--input", str(curves), "--grid", str(grid)],
+            ["spectrum", "--input", str(headed), "--header"],
+        ):
+            code, out, err = run_cli(capsys, *command, "--seed", "1")
+            assert code == 2, command
+            assert out == ""
+            assert "data error" in err and "grid points must be" in err
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    np.savetxt(x, np.random.default_rng(6).standard_normal((8, 5)), delimiter=",")
+    np.savetxt(y, np.random.default_rng(7).standard_normal((8, 5)) + 1.0, delimiter=",")
+    test = ("test", str(x), str(y), "--phi", "exp", "--b", "99", "--seed", "3")
+    code, first, _ = run_cli(capsys, *test)
+    assert code == 0
+    code, _, _ = run_cli(capsys, "spectrum", "--input", str(x), "--draws", "100", "--seed", "3")
+    assert code == 0
+    code, again, _ = run_cli(capsys, *test)
+    assert code == 0
+    assert again == first
 
 
 def test_random_seed_is_printed_when_omitted(tmp_path, capsys):

@@ -31,7 +31,7 @@ def test_hand_instance_identity_gram():
     h = empirical_h_matrix(G, PhiKind.L2)
     expected = (np.eye(3) - np.ones((3, 3)) / 3.0) / 3.0
     assert np.allclose(h, expected, atol=1e-14)
-    spec = spectrum_estimate(G, PhiKind.L2, 0.5)
+    spec = spectrum_estimate(G, PhiKind.L2)
     assert np.allclose(spec.eigenvalues, [1.0 / 9.0, 1.0 / 9.0], atol=1e-14)
 
 
@@ -62,7 +62,7 @@ def test_eigenvalues_nonincreasing_and_trace_identity(rng):
     G = GramMatrix(gram_entries(values, "coeff"), 15, 15)
     for kind in PhiKind:
         h = empirical_h_matrix(G, kind)
-        spec = spectrum_estimate(G, kind, 0.5)
+        spec = spectrum_estimate(G, kind)
         lam = spec.eigenvalues
         assert np.all(np.diff(lam) <= 0.0)
         trace = np.trace(h) / 30.0
@@ -125,8 +125,6 @@ def test_limit_shift_composition():
 def test_spectrum_estimate_validation():
     with pytest.raises(ValueError):
         spectrum_estimate(np.eye(2), PhiKind.L2)
-    with pytest.raises(ValueError):
-        spectrum_estimate(np.eye(4), PhiKind.L2, lambda_ratio=1.0)
     with pytest.raises(ValueError):
         sample_limit_law(KernelSpectrum(np.array([1.0]), 4, PhiKind.L2), 0)
 

@@ -70,7 +70,7 @@ def test_bf_1d_length_mismatch():
         bf_statistic_1d([1.0, 2.0, 3.0], [0, 1], PhiKind.L2)
 
 
-def test_bf_1d_l2_sorted_path_matches_pairwise(rng):
+def test_bf_1d_l2_matches_pairwise(rng):
     for _ in range(25):
         size = int(rng.integers(2, 40))
         p = rng.standard_normal(size)
@@ -244,3 +244,19 @@ def test_batch_statistics_matches_oracle_property(instance, kind, data):
         half = len(amat) // 2
         assert np.array_equal(whole[:half], whole[half:])
         assert np.array_equal(blocked[:half], blocked[half:])
+
+
+@settings(max_examples=80, deadline=None)
+@given(relabeled_instances(), st.sampled_from(list(PhiKind)), st.data())
+def test_statistic_row_order_and_group_swap_invariance_property(instance, kind, data):
+    G, amat = instance
+    labels = (1.0 - amat[0]).astype(np.int8)
+    zeta = pbf_statistic(G, labels, kind).zeta_hat
+    tol = 1e-12 * (1.0 + abs(zeta))
+    # row order: permute the pooled rows and their labels jointly
+    order = np.array(data.draw(st.permutations(range(G.size)), label="row order"))
+    reordered = GramMatrix(G.entries[np.ix_(order, order)], G.n, G.m)
+    assert abs(pbf_statistic(reordered, labels[order], kind).zeta_hat - zeta) <= tol
+    # group swap: exchange the labels, and with them n and m
+    swapped = GramMatrix(G.entries, G.m, G.n)
+    assert abs(pbf_statistic(swapped, 1 - labels, kind).zeta_hat - zeta) <= tol
