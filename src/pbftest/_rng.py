@@ -3,9 +3,14 @@
 Every stochastic routine in the package takes an explicit 64-bit seed and
 builds its generator through these helpers, so results are reproducible and
 independent of execution order.
+
+Substream keys reach Philox through `_KeySeed`, which returns the key
+verbatim, so no OS entropy is drawn for the `SeedSequence` that
+`Philox(key=...)` builds and discards; the streams are bit-identical.
 """
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 MASK64 = (1 << 64) - 1
 
@@ -32,10 +37,22 @@ def derive_seed(seed: int, index: int) -> int:
     return splitmix64((seed & MASK64) ^ splitmix64(index & MASK64))
 
 
+class _KeySeed(ISeedSequence):
+    """Hands Philox the key words [key, 0], as `Philox(key=key)` stores them."""
+
+    def __init__(self, key: int):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):  # Philox asks for (2, uint64)
+        return np.array([self.key, 0], dtype=np.uint64)
+
+
 def substream(seed: int, index: int = 0) -> np.random.Generator:
     """Counter-based generator for substream `index` of `seed`.
 
     Philox is keyed with seed xor index: distinct keys give statistically
-    independent streams, so replicate-level work can run in any order.
+    independent streams, so replicate-level work can run in any order.  Via
+    `_KeySeed` the state (key, zero counter, empty buffer) and every draw
+    equal those of `Generator(Philox(key=(seed ^ index) & MASK64))`.
     """
-    return np.random.Generator(np.random.Philox(key=(seed ^ index) & MASK64))
+    return np.random.Generator(np.random.Philox(_KeySeed((seed ^ index) & MASK64)))

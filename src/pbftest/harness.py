@@ -9,8 +9,10 @@ count.
 import contextlib
 import csv
 import functools
+import importlib.util
 import math
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -128,6 +130,21 @@ def _limit_worker_blas():
         pass
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _warn_uncapped_blas():
+    """Warn once per pool when neither threadpoolctl nor a BLAS thread variable caps workers."""
+    capped = any(var in os.environ for var in _BLAS_THREAD_VARS)
+    if not capped and importlib.util.find_spec("threadpoolctl") is None:
+        warnings.warn(
+            "threadpoolctl is not installed, so each worker may start one BLAS thread per core; "
+            "export OPENBLAS_NUM_THREADS=1 to cap them",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def run_power(config: ScenarioConfig, progress=None) -> dict:
     """Estimate rejection rates for every phi of a scenario.
 
@@ -137,7 +154,8 @@ def run_power(config: ScenarioConfig, progress=None) -> dict:
 
     Returns:
         Mapping PhiKind -> PowerEstimate.  Counts are exact sums over
-        replications, so results do not depend on worker count.
+        replications, so results do not depend on worker count.  A worker
+        pool whose BLAS threads nothing caps first issues a RuntimeWarning.
     """
     workers = config.workers or (os.cpu_count() or 1)
     replicate = functools.partial(run_single_replication, config)
@@ -145,6 +163,7 @@ def run_power(config: ScenarioConfig, progress=None) -> dict:
     rejections = {phi: 0 for phi in config.phis}
     with contextlib.ExitStack() as stack:
         if workers > 1 and config.reps > 1:
+            _warn_uncapped_blas()
             pool = stack.enter_context(
                 ProcessPoolExecutor(max_workers=workers, initializer=_limit_worker_blas)
             )

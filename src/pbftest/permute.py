@@ -80,16 +80,14 @@ def _relabelings(N: int, n: int, B: int, seed: int, budget: int) -> tuple[np.nda
     uses the seed-xor-i substream.
     """
     if budget > 0 and math.comb(N, n) <= budget:
-        combos = list(itertools.combinations(range(N), n))
-        amat = np.zeros((len(combos), N))
-        for row, combo in enumerate(combos):
-            amat[row, list(combo)] = 1.0
-        return amat, EXHAUSTIVE
-    amat = np.zeros((B, N))
-    for i in range(1, B + 1):
-        perm = substream(seed, i).permutation(N)
-        amat[i - 1, perm[:n]] = 1.0
-    return amat, RANDOMIZED
+        firsts, mode = np.array(list(itertools.combinations(range(N), n))), EXHAUSTIVE
+    else:
+        # each permutation is copied into one buffer as drawn, so none outlives its row
+        perms = (substream(seed, i).permutation(N) for i in range(1, B + 1))
+        firsts, mode = np.fromiter(perms, np.dtype((np.intp, N)), count=B)[:, :n], RANDOMIZED
+    amat = np.zeros((len(firsts), N))
+    np.put_along_axis(amat, firsts, 1.0, axis=1)
+    return amat, mode
 
 
 def _finite_statistics(G: GramMatrix, amat: np.ndarray, kind: PhiKind) -> np.ndarray:
@@ -117,10 +115,13 @@ def critical_value(
     partition); otherwise the value is estimated from B random permutations.
 
     Raises:
+        ValueError: when alpha is not in (0, 1) or B is below 1.
         NumericalError: when any permuted statistic is not finite.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    if B < 1:
+        raise ValueError("B must be at least 1")
     amat, _ = _relabelings(G.size, G.n, B, seed, budget)
     stats = np.sort(_finite_statistics(G, amat, kind))
     k = math.ceil(stats.size * (1.0 - alpha) - 1e-12)

@@ -1,5 +1,7 @@
 import csv
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from pbftest import (
     run_subsample_power,
     run_sweep,
 )
+from pbftest import harness
 from pbftest.harness import LEDGER_COLUMNS, power_rows
 
 
@@ -52,6 +55,24 @@ def test_run_power_counts_and_worker_invariance():
     assert serial.rejection_rate == serial.rejections / 40
     expected_se = math.sqrt(serial.rejection_rate * (1 - serial.rejection_rate) / 40)
     assert serial.mc_stderr == pytest.approx(expected_se)
+
+
+def test_run_power_warns_when_worker_blas_is_uncapped(monkeypatch):
+    for var in harness._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails, as when absent
+    base = dict(scenario="ex3", n=6, m=6, B=20, reps=4, seed=3, phis=(PhiKind.L2, PhiKind.EXP))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        serial = run_power(ScenarioConfig(**base, workers=1))
+    with pytest.warns(RuntimeWarning, match="export OPENBLAS_NUM_THREADS=1") as record:
+        parallel = run_power(ScenarioConfig(**base, workers=2))
+    assert sum(issubclass(w.category, RuntimeWarning) for w in record) == 1
+    assert parallel == serial
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_power(ScenarioConfig(**base, workers=2)) == serial
 
 
 def test_run_power_matches_per_replication_decisions():

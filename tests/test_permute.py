@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pbftest import (
     GramMatrix,
@@ -20,7 +23,8 @@ from pbftest import (
     run_power,
     ScenarioConfig,
 )
-
+from pbftest._rng import MASK64
+from pbftest.permute import EXHAUSTIVE, RANDOMIZED, _relabelings
 
 
 def _null_sample(rng, n=6, m=6, dim=4):
@@ -97,6 +101,67 @@ def test_critical_value_invalid_alpha(rng):
     for alpha in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
             critical_value(G, PhiKind.L2, alpha)
+
+
+def test_critical_value_rejects_b_below_one(rng):
+    G = gram(_null_sample(rng, 3, 3))
+    for B in (0, -3):
+        with pytest.raises(ValueError, match="B must be at least 1"):
+            critical_value(G, PhiKind.L2, 0.05, budget=0, B=B)
+
+
+@pytest.mark.parametrize("n, m", [(20, 20), (3, 5)])
+@pytest.mark.parametrize("seed", [0, 99, -7, 2**64 + 5])
+def test_relabelings_match_per_row_construction(n, m, seed):
+    N, B = n + m, 60
+    amat, mode = _relabelings(N, n, B, seed, budget=0)
+    expected = np.zeros((B, N))
+    for i in range(1, B + 1):
+        rng = np.random.Generator(np.random.Philox(key=(seed ^ i) & MASK64))
+        expected[i - 1, rng.permutation(N)[:n]] = 1.0
+    assert mode == RANDOMIZED
+    assert np.array_equal(amat, expected)
+
+
+@pytest.mark.parametrize("n, m", [(3, 5), (4, 4), (1, 6)])
+def test_exhaustive_relabelings_follow_combination_order(n, m):
+    N = n + m
+    amat, mode = _relabelings(N, n, 10, 1, budget=math.comb(N, n))
+    assert mode == EXHAUSTIVE
+    assert amat.shape == (math.comb(N, n), N)
+    assert set(np.unique(amat)) == {0.0, 1.0}
+    combos = list(itertools.combinations(range(N), n))
+    assert [tuple(np.flatnonzero(row)) for row in amat] == combos
+
+
+@st.composite
+def small_samples(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    values = draw(arrays(float, (n + m, draw(st.integers(1, 3))), elements=st.floats(-3.0, 3.0)))
+    return make_sample(values[:n], values[n:], "coeff")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_samples(),
+    st.sampled_from(list(PhiKind)),
+    st.integers(1, 40),
+    st.integers(-(2**64), 2**64),
+    st.booleans(),
+)
+def test_pvalue_range_property(sample, kind, B, seed, exhaustive):
+    N, n = sample.labels.size, sample.n
+    budget = math.comb(N, n) if exhaustive else 0
+    result = permutation_test(sample, kind, B=B, seed=seed, exhaustive_budget=budget)
+    assert 0.0 < result.p_value <= 1.0
+    if exhaustive:
+        assert result.mode == EXHAUSTIVE
+        assert result.b_used == math.comb(N, n)
+    else:
+        assert result.mode == RANDOMIZED
+        count = round(result.p_value * (B + 1))
+        assert 1 <= count <= B + 1
+        assert result.p_value == count / (B + 1)
 
 
 def test_pvalue_when_multisets_match(rng):
