@@ -13,6 +13,9 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 MASK64 = (1 << 64) - 1
+# Philox copies its counter: one read-only zero array spares converting 0 per call
+_ZERO_COUNTER = np.zeros(4, np.uint64)
+_ZERO_COUNTER.flags.writeable = False
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -51,8 +54,9 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
     """Counter-based generator for substream `index` of `seed`.
 
     Philox is keyed with seed xor index: distinct keys give statistically
-    independent streams, so replicate-level work can run in any order.  Via
-    `_KeySeed` the state (key, zero counter, empty buffer) and every draw
-    equal those of `Generator(Philox(key=(seed ^ index) & MASK64))`.
+    independent streams, so replicate-level work can run in any order.  Each
+    call returns a fresh generator whose state (key, zero counter, empty
+    buffer) and draws equal `Generator(Philox(key=(seed ^ index) & MASK64))`.
     """
-    return np.random.Generator(np.random.Philox(_KeySeed((seed ^ index) & MASK64)))
+    key = _KeySeed((seed ^ index) & MASK64)
+    return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))

@@ -20,6 +20,7 @@ from .curves import (
     DataError,
     GridSpec,
     NumericalError,
+    _read_rows,
     read_curves_csv,
     write_curves_csv,
     gram_entries,
@@ -77,7 +78,7 @@ def _effective_seed(seed) -> int:
 
 
 def _load_grid(path) -> GridSpec:
-    values, _, _ = read_curves_csv(path)
+    values, _, _, _ = _read_rows(path, False, False, finite=False)  # GridSpec checks these
     if values.shape[0] != 1:
         raise DataError(f"{path}: grid file must hold exactly one row of abscissae")
     try:

@@ -7,6 +7,7 @@ the only input the test statistic ever needs.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,17 +258,18 @@ def read_curves_csv(path, header: bool = False):
 
     Raises:
         DataError: on unreadable files, inconsistent column counts,
-            non-numeric cells, or zero usable rows.
+            non-numeric or non-finite cells, or zero usable rows.
     """
     values, _, abscissae, dropped = _read_rows(path, header, tagged=False)
     return values, abscissae, dropped
 
 
-def _read_rows(path, header: bool, tagged: bool):
+def _read_rows(path, header: bool, tagged: bool, finite: bool = True):
     """Parse a curve CSV, optionally with a leading group-tag column.
 
     Returns (values, tags, abscissae, dropped); `tags` holds the first cell
-    of each kept row.  A header cell over the tag column is ignored.
+    of each kept row.  A header cell over the tag column is ignored.  Unless
+    `finite` is false, a non-finite cell in a row kept is a DataError.
     """
     try:
         with open(path, newline="") as fh:
@@ -295,15 +297,20 @@ def _read_rows(path, header: bool, tagged: bool):
     for lineno, row in enumerate(rows, start=1):
         if len(row) != width:
             raise DataError(f"{path}: row {lineno} has {len(row)} columns, expected {width}")
-        cells = [cell.strip() for cell in row]
-        if any(cell.lower() in _MISSING_TOKENS for cell in cells[skip:]):
-            dropped += 1
-            continue
-        try:
-            kept.append([float(cell) for cell in cells[skip:]])
-        except ValueError as exc:
-            raise DataError(f"{path}: row {lineno} has a non-numeric cell") from exc
-        tags.append(cells[0])
+        try:  # float() strips the same whitespace that str.strip() does
+            values = list(map(float, row[skip:]))
+        except ValueError:
+            values = None
+        if values is None or not math.isfinite(sum(values)):  # any inf/NaN cell, or overflow
+            if any(cell.strip().lower() in _MISSING_TOKENS for cell in row[skip:]):
+                dropped += 1
+                continue
+            if values is None:
+                raise DataError(f"{path}: row {lineno} has a non-numeric cell")
+            if finite and not all(map(math.isfinite, values)):
+                raise DataError(f"{path}: row {lineno} has a non-finite cell")
+        kept.append(values)
+        tags.append(row[0].strip())
     if not kept:
         raise DataError(f"{path}: no usable rows (dropped {dropped})")
     if abscissae is not None and abscissae.size != width - skip:

@@ -82,9 +82,10 @@ def _relabelings(N: int, n: int, B: int, seed: int, budget: int) -> tuple[np.nda
     if budget > 0 and math.comb(N, n) <= budget:
         firsts, mode = np.array(list(itertools.combinations(range(N), n))), EXHAUSTIVE
     else:
-        # each permutation is copied into one buffer as drawn, so none outlives its row
-        perms = (substream(seed, i).permutation(N) for i in range(1, B + 1))
-        firsts, mode = np.fromiter(perms, np.dtype((np.intp, N)), count=B)[:, :n], RANDOMIZED
+        perms = np.tile(np.arange(N), (B, 1))  # permutation(N) is arange(N), shuffled
+        for i, row in enumerate(perms, start=1):
+            substream(seed, i).shuffle(row)
+        firsts, mode = perms[:, :n], RANDOMIZED
     amat = np.zeros((len(firsts), N))
     np.put_along_axis(amat, firsts, 1.0, axis=1)
     return amat, mode

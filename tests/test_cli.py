@@ -291,6 +291,20 @@ def test_malformed_grid_is_data_error(tmp_path, capsys):
             assert "data error" in err and "grid points must be" in err
 
 
+def test_nonfinite_cell_is_data_error(tmp_path, capsys):
+    # an inf cell is malformed input: exit 2 naming the file and row, not a
+    # usage error from the sample check nor a Gram overflow from spectrum
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    np.savetxt(y, np.random.default_rng(8).standard_normal((8, 5)), delimiter=",")
+    for token in ("inf", "-inf", "-nan", "1e999"):
+        x.write_text(f"1,2,3,4,5\n0,1,0,1,0\n2,{token},1,1,1\n5,4,3,2,1\n")
+        for command in (["test", str(x), str(y), "--b", "99"], ["spectrum", "--input", str(x)]):
+            code, out, err = run_cli(capsys, *command, "--seed", "1")
+            assert code == 2, (token, command)
+            assert out == ""
+            assert f"data error: {x}: row 3 has a non-finite cell" in err
+
+
 def test_parser_is_built_once_and_reused(tmp_path, capsys):
     assert build_parser() is build_parser()
     x, y = tmp_path / "x.csv", tmp_path / "y.csv"

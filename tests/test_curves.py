@@ -1,5 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbftest import (
     Curve,
@@ -10,12 +14,13 @@ from pbftest import (
     equispaced_grid,
     gram,
     gram_entries,
+    ingest_csv,
     inner_product,
     make_sample,
     read_curves_csv,
     write_curves_csv,
 )
-from pbftest.curves import RIEMANN_LEFT
+from pbftest.curves import _MISSING_TOKENS, RIEMANN_LEFT, _read_rows
 
 
 GRID101 = equispaced_grid(101)
@@ -192,3 +197,124 @@ def test_csv_errors(tmp_path):
     empty.write_text("1,,3\n,5,6\n")
     with pytest.raises(DataError):
         read_curves_csv(empty)
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "-nan", "+NaN", "1e999", " Infinity "])
+def test_nonfinite_cell_is_data_error(tmp_path, token):
+    # a non-finite cell that is not a missing token names its file and row
+    plain, tagged = tmp_path / "plain.csv", tmp_path / "tagged.csv"
+    plain.write_text(f"1,2,3\n4,NA,6\n7,{token},9\n")
+    tagged.write_text(f"a,1,2,3\nb,4,NA,6\na,7,{token},9\nb,1,1,1\n")
+    with pytest.raises(DataError, match=r"plain\.csv: row 3 has a non-finite cell"):
+        read_curves_csv(plain)
+    with pytest.raises(DataError, match=r"tagged\.csv: row 3 has a non-finite cell"):
+        ingest_csv(tagged, "grid")
+    # a missing cell drops its row first, as it does for a non-numeric cell
+    plain.write_text(f"1,2,3\n4,NA,{token}\n")
+    values, _, dropped = read_curves_csv(plain)
+    assert values.shape == (1, 3) and dropped == 1
+
+
+def _read_rows_reference(path, header: bool, tagged: bool):
+    """The per-cell parser the fast path replaced, verbatim: strip, missing
+    check and float() on every cell.  It keeps non-finite cells."""
+    try:
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: file contains no rows")
+    skip = 1 if tagged else 0
+
+    abscissae = None
+    if header:
+        try:
+            abscissae = np.array([float(cell) for cell in rows[0][skip:]], dtype=float)
+        except ValueError as exc:
+            raise DataError(f"{path}: header row is not numeric") from exc
+        rows = rows[1:]
+        if not rows:
+            raise DataError(f"{path}: no data rows after header")
+
+    width = len(rows[0])
+    if width <= skip:
+        raise DataError(f"{path}: labeled rows need a tag plus at least one value")
+    kept, tags, dropped = [], [], 0
+    for lineno, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise DataError(f"{path}: row {lineno} has {len(row)} columns, expected {width}")
+        cells = [cell.strip() for cell in row]
+        if any(cell.lower() in _MISSING_TOKENS for cell in cells[skip:]):
+            dropped += 1
+            continue
+        try:
+            kept.append([float(cell) for cell in cells[skip:]])
+        except ValueError as exc:
+            raise DataError(f"{path}: row {lineno} has a non-numeric cell") from exc
+        tags.append(cells[0])
+    if not kept:
+        raise DataError(f"{path}: no usable rows (dropped {dropped})")
+    if abscissae is not None and abscissae.size != width - skip:
+        raise DataError(f"{path}: header length does not match data width")
+    return np.array(kept, dtype=float), tags, abscissae, dropped
+
+
+_PAD = st.text(st.sampled_from(" \t\x0b\x0c\u00a0\u2003"), max_size=2)
+_NUMBER = st.floats(-1e6, 1e6).map(lambda v: f"{v!r}") | st.integers(-99, 99).map(str)
+_MISSING = st.sampled_from(["", "NA", "na", "nA", "nan", "NaN", "NAN"])
+_JUNK = st.sampled_from(["x", "N/A", "1.2.3", "--1", "nul"])
+_CELL = st.builds(
+    lambda pad, core, tail: pad + core + tail,
+    _PAD,
+    st.one_of(_NUMBER, _NUMBER, _NUMBER, _MISSING, _JUNK),
+    _PAD,
+)
+
+
+@st.composite
+def _curve_files(draw):
+    """Rows of finite, missing, junk and padded cells, at times ragged."""
+    tagged, header = draw(st.booleans()), draw(st.booleans())
+    width = draw(st.integers(1, 4)) + tagged
+    rows = []
+    if header:
+        rows.append(draw(st.lists(_NUMBER | _JUNK, min_size=width, max_size=width + 1)))
+    for _ in range(draw(st.integers(0, 6))):
+        row = draw(st.lists(_CELL, min_size=width, max_size=width))
+        if tagged:
+            row[0] = draw(_PAD) + draw(st.sampled_from(["a", "b"])) + draw(_PAD)
+        if draw(st.integers(0, 15)) == 0:
+            row = row[:-1] or row + ["1"]
+        rows.append(row)
+    return rows, header, tagged
+
+
+def _outcome(parse, path, header, tagged):
+    try:
+        return parse(path, header, tagged)
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_curve_files())
+def test_read_rows_matches_per_cell_reference_property(tmp_path_factory, drawn):
+    # without inf-like cells the fast path must agree with the per-cell
+    # parser on values, tags, abscissae, dropped counts and every message
+    rows, header, tagged = drawn
+    path = tmp_path_factory.mktemp("csv") / "curves.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    got = _outcome(_read_rows, path, header, tagged)
+    want = _outcome(_read_rows_reference, path, header, tagged)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert np.array_equal(got[0], want[0]) and got[0].shape == want[0].shape
+    assert got[1] == want[1] and got[3] == want[3]
+    if want[2] is None:
+        assert got[2] is None
+    else:
+        assert np.array_equal(got[2], want[2])

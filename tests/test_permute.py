@@ -23,7 +23,9 @@ from pbftest import (
     run_power,
     ScenarioConfig,
 )
-from pbftest._rng import MASK64
+from pbftest import permute
+from pbftest._rng import MASK64, substream
+from pbftest.harness import run_single_replication
 from pbftest.permute import EXHAUSTIVE, RANDOMIZED, _relabelings
 
 
@@ -110,17 +112,36 @@ def test_critical_value_rejects_b_below_one(rng):
             critical_value(G, PhiKind.L2, 0.05, budget=0, B=B)
 
 
-@pytest.mark.parametrize("n, m", [(20, 20), (3, 5)])
+@pytest.mark.parametrize("n, m", [(20, 20), (3, 5), (1, 7), (6, 1)])
 @pytest.mark.parametrize("seed", [0, 99, -7, 2**64 + 5])
 def test_relabelings_match_per_row_construction(n, m, seed):
-    N, B = n + m, 60
-    amat, mode = _relabelings(N, n, B, seed, budget=0)
-    expected = np.zeros((B, N))
-    for i in range(1, B + 1):
-        rng = np.random.Generator(np.random.Philox(key=(seed ^ i) & MASK64))
-        expected[i - 1, rng.permutation(N)[:n]] = 1.0
-    assert mode == RANDOMIZED
-    assert np.array_equal(amat, expected)
+    N = n + m
+    for B in (60, 1):
+        amat, mode = _relabelings(N, n, B, seed, budget=0)
+        expected = np.zeros((B, N))
+        for i in range(1, B + 1):
+            rng = np.random.Generator(np.random.Philox(key=(seed ^ i) & MASK64))
+            expected[i - 1, rng.permutation(N)[:n]] = 1.0
+        assert mode == RANDOMIZED
+        assert np.array_equal(amat, expected)
+
+
+def test_one_substream_per_relabeling(rng, monkeypatch):
+    # perfbench asserts rng.substreams == B x tests; a construction change
+    # that alters this count must come with a benchmark change
+    calls = []
+
+    def counted(seed, index=0):
+        calls.append(index)
+        return substream(seed, index)
+
+    monkeypatch.setattr(permute, "substream", counted)
+    permutation_test(_null_sample(rng, 10, 10), PhiKind.L2, B=37, seed=5)
+    assert sorted(calls) == list(range(1, 38))
+    calls.clear()
+    config = ScenarioConfig(scenario="ex1", n=6, m=6, B=23, reps=1, phis=tuple(PhiKind), seed=3)
+    run_single_replication(config, 0)
+    assert len(calls) == 3 * 23
 
 
 @pytest.mark.parametrize("n, m", [(3, 5), (4, 4), (1, 6)])
@@ -162,6 +183,31 @@ def test_pvalue_range_property(sample, kind, B, seed, exhaustive):
         count = round(result.p_value * (B + 1))
         assert 1 <= count <= B + 1
         assert result.p_value == count / (B + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.integers(0, 6),
+    st.integers(2, 5),
+    st.integers(-8, 8),
+    st.integers(1, 30),
+    st.integers(0, 2**64 - 1),
+    st.data(),
+)
+def test_l2_scale_invariance_property(n, extra, dim, k, B, seed, data):
+    # l2 is linear in the Gram entries, which scaling by 2^k multiplies by
+    # exactly 4^k; magnitudes from 2^-20 keep every product off subnormals
+    m = n + extra  # extra = 0 draws n = m, the rest the excess-GEMM path
+    cell = st.floats(-3.0, 3.0).filter(lambda v: v == 0.0 or abs(v) >= 2.0**-20)
+    values = data.draw(arrays(float, (n + m, dim), elements=cell))
+    base = make_sample(values[:n], values[n:], "coeff")
+    scaled = make_sample(values[:n] * 2.0**k, values[n:] * 2.0**k, "coeff")
+    a = permutation_test(base, PhiKind.L2, B=B, seed=seed, keep_replicates=True)
+    b = permutation_test(scaled, PhiKind.L2, B=B, seed=seed, keep_replicates=True)
+    assert b.zeta_hat == a.zeta_hat * 4.0**k
+    assert np.array_equal(b.replicate_stats, a.replicate_stats * 4.0**k)
+    assert b.p_value == a.p_value
 
 
 def test_pvalue_when_multisets_match(rng):

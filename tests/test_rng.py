@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbftest import _rng
 from pbftest._rng import MASK64, substream
 
 
@@ -53,3 +54,30 @@ def test_pickled_substream_continues_the_stream():
     _assert_same_state(clone, rng)
     assert np.array_equal(clone.random(50), rng.random(50))
     assert np.array_equal(clone.permutation(100), rng.permutation(100))
+
+
+def _draws(rng):
+    """A mix of draws that each advance the stream differently."""
+    return [
+        lambda: rng.permutation(37),
+        lambda: rng.random(5),
+        lambda: rng.integers(0, 10, dtype=np.uint32),  # leaves a buffered 32-bit half
+        lambda: rng.standard_normal(3),
+        lambda: rng.integers(0, 2**40, size=4),
+    ]
+
+
+@pytest.mark.parametrize("seed, index", [(0, 0), (-12345, 7), (2**64 + 3, 2**63)])
+def test_live_substreams_are_independent(seed, index):
+    # two live generators of one (seed, index), drawn interleaved, must give
+    # what each gives alone: they share no state, the zero counter included
+    a, b = substream(seed, index), substream(seed, index)
+    assert a.bit_generator is not b.bit_generator
+    interleaved = [(f(), g()) for f, g in zip(_draws(a), _draws(b))]
+    alone = [f() for f in _draws(substream(seed, index))]
+    for (x, y), want in zip(interleaved, alone):
+        assert np.array_equal(x, want) and np.array_equal(y, want)
+    _assert_same_state(a, b)
+    assert not np.any(_rng._ZERO_COUNTER)
+    assert not _rng._ZERO_COUNTER.flags.writeable
+    assert not np.any(substream(seed, index).bit_generator.state["state"]["counter"])
