@@ -26,10 +26,12 @@ from .curves import (
     gram_entries,
 )
 from .harness import (
+    _FIELD_TYPES,
     ScenarioConfig,
     _resolve_grid,
     append_ledger,
     ingest_pair,
+    parse_phi_list,
     power_rows,
     read_config_file,
     run_power,
@@ -38,7 +40,6 @@ from .harness import (
 from .permute import permutation_test
 from .simgen import SCENARIO_IDS, generate_pair
 from .spectrum import sample_limit_law, spectrum_estimate
-from .statistic import PhiKind
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,10 +58,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _phi_list(text: str) -> tuple:
+    # an argparse type; UsageError passes through parse_args with this message
     try:
-        return tuple(PhiKind(p.strip().lower()) for p in text.split(",") if p.strip())
+        return parse_phi_list(text)
     except ValueError as exc:
-        raise UsageError(f"unknown phi in {text!r} (choose from l2, exp, log)") from exc
+        raise UsageError(str(exc)) from exc
 
 
 def _float_list(text: str) -> list[float]:
@@ -95,11 +97,11 @@ def _add_common_scenario_flags(sub):
     sub.add_argument("--delta", type=float, default=None, help="mixture strength (ex7-ex9)")
     sub.add_argument("--grid-points", type=int, default=None, help="simulation grid size")
     sub.add_argument(
-        "--normalized-cos", action="store_true",
+        "--normalized-cos", action="store_true", default=None,
         help="use the orthonormal sqrt(2)-scaled cosine family in ex6/ex7",
     )
     sub.add_argument(
-        "--sampled-on-grid", action="store_true",
+        "--sampled-on-grid", action="store_true", default=None,
         help="render basis scenarios on the simulation grid instead of exact coefficients",
     )
 
@@ -112,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test = subs.add_parser("test", help="two-sample test on two curve CSV files")
     p_test.add_argument("x_csv", help="first-sample curves (wide CSV)")
     p_test.add_argument("y_csv", help="second-sample curves (wide CSV)")
-    p_test.add_argument("--phi", default="l2", help="distance transform: l2, exp or log")
+    p_test.add_argument("--phi", type=_phi_list, default="l2", help="distance transform: l2, exp or log")
     p_test.add_argument("--b", type=int, default=10000, help="number of random permutations")
     p_test.add_argument("--seed", type=int, default=None)
     p_test.add_argument("--repr", choices=[GRID, COEFF], default=GRID, dest="repr_kind")
@@ -137,16 +139,19 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common_scenario_flags(p)
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--m", type=int, default=None)
-        p.add_argument("--b", type=int, default=None, help="permutations per test")
+        p.add_argument("--b", type=int, default=None, dest="B", help="permutations per test")
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--phi", default=None, help="comma list: l2,exp,log")
+        p.add_argument(
+            "--phi", type=_phi_list, default=None, dest="phis", metavar="PHI",
+            help="comma list: l2,exp,log",
+        )
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", default=None, help="key=value config file (flags override)")
         p.add_argument("--out", default="power_results.csv", help="CSV ledger to append to")
         p.add_argument("--json", action="store_true", help="mirror results as JSON on stdout")
         p.add_argument(
-            "--threads", type=int, default=None,
+            "--threads", type=int, default=None, dest="workers", metavar="THREADS",
             help="replication workers (0 = auto; default: the config file's workers, else 1)",
         )
         if name == "sweep":
@@ -156,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = subs.add_parser("spectrum", help="limiting-law eigenvalues of a null sample")
     p_spec.add_argument("--input", required=True, help="pooled null curves (wide CSV)")
-    p_spec.add_argument("--phi", default="l2")
+    p_spec.add_argument("--phi", type=_phi_list, default="l2")
     p_spec.add_argument("--repr", choices=[GRID, COEFF], default=GRID, dest="repr_kind")
     p_spec.add_argument("--grid", default=None, help="one-line CSV of grid abscissae")
     p_spec.add_argument("--header", action="store_true")
@@ -169,8 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_test(args) -> int:
-    phi = _phi_list(args.phi)
-    if len(phi) != 1:
+    if len(args.phi) != 1:
         raise UsageError("test takes exactly one phi")
     if args.b < 1:
         raise UsageError("--b must be at least 1")
@@ -180,23 +184,15 @@ def cmd_test(args) -> int:
     if dropped:
         print(f"dropped {dropped} row(s) with missing values", file=sys.stderr)
     result = permutation_test(
-        sample, phi[0], B=args.b, seed=seed, keep_replicates=args.keep_replicates
+        sample, args.phi[0], B=args.b, seed=seed, keep_replicates=args.keep_replicates
     )
     print(json.dumps(result.to_json_dict()))
     return EXIT_OK
 
 
-def _scenario_params(args) -> dict:
-    out = {}
-    for key in ("r", "sigma", "d", "delta", "grid_points"):
-        value = getattr(args, key)
-        if value is not None:
-            out[key] = value
-    if args.normalized_cos:
-        out["normalized_cos"] = True
-    if args.sampled_on_grid:
-        out["sampled_on_grid"] = True
-    return out
+def _settings(args) -> dict:
+    """The `ScenarioConfig` fields given as flags; each flag's dest is its field name."""
+    return {k: v for k, v in vars(args).items() if k in _FIELD_TYPES and v is not None}
 
 
 def cmd_simulate(args) -> int:
@@ -204,11 +200,10 @@ def cmd_simulate(args) -> int:
         raise UsageError("--scenario is required")
     if args.count < 1:
         raise UsageError("--count must be at least 1")
-    seed = _effective_seed(args.seed)
-    config = ScenarioConfig(
-        scenario=args.scenario, n=args.count, m=args.count, seed=seed, **_scenario_params(args)
-    )
-    sample = generate_pair(config.scenario_obj(), config.n, config.m, seed)
+    settings = _settings(args) | {"n": args.count, "m": args.count}
+    settings["seed"] = _effective_seed(settings.get("seed"))
+    config = ScenarioConfig(**settings)
+    sample = generate_pair(config.scenario_obj(), config.n, config.m, config.seed)
     write_curves_csv(args.out_x, sample.values[sample.labels == 0])
     write_curves_csv(args.out_y, sample.values[sample.labels == 1])
     print(f"wrote {config.n} curves to {args.out_x} and {config.m} to {args.out_y}", file=sys.stderr)
@@ -217,26 +212,13 @@ def cmd_simulate(args) -> int:
 
 def _power_config(args) -> ScenarioConfig:
     settings = read_config_file(args.config) if args.config else {}
-    for key in ("scenario", "n", "m", "alpha", "reps", "seed"):
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
-    if args.b is not None:
-        settings["B"] = args.b
-    if args.phi is not None:
-        settings["phis"] = _phi_list(args.phi)
-    settings.update(_scenario_params(args))
-    if args.threads is not None:
-        settings["workers"] = args.threads
+    settings.update(_settings(args))  # a flag beats the file
     if "scenario" not in settings:
         raise UsageError("--scenario (or a config file providing it) is required")
     settings.setdefault("n", 50)
     settings.setdefault("m", 50)
     settings["seed"] = _effective_seed(settings.get("seed"))
-    try:
-        return ScenarioConfig(**settings)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    return ScenarioConfig(**settings)  # main maps its ValueError to exit 1
 
 
 def _progress_printer(reps: int):
@@ -262,7 +244,7 @@ def cmd_study(args) -> int:
         rows = run_sweep(config, args.param, values, progress=progress)
     append_ledger(args.out, rows)
     if args.json:
-        print(json.dumps({"config": _config_echo(config), "results": rows}))
+        print(json.dumps({"config": asdict(config), "results": rows}))  # a PhiKind is a str
     else:
         for row in rows:
             point = f" {row['param']}={row['value']}" if row["param"] else ""
@@ -273,15 +255,8 @@ def cmd_study(args) -> int:
     return EXIT_OK
 
 
-def _config_echo(config: ScenarioConfig) -> dict:
-    echo = asdict(config)
-    echo["phis"] = [phi.value for phi in config.phis]
-    return echo
-
-
 def cmd_spectrum(args) -> int:
-    phi = _phi_list(args.phi)
-    if len(phi) != 1:
+    if len(args.phi) != 1:
         raise UsageError("spectrum takes exactly one phi")
     if args.draws < 1:
         raise UsageError("--draws must be at least 1")
@@ -295,7 +270,7 @@ def cmd_spectrum(args) -> int:
     grid = _load_grid(args.grid) if args.grid else None
     grid = _resolve_grid(args.repr_kind, grid, abscissae, values.shape[1])
     entries = gram_entries(values, args.repr_kind, grid)
-    spec = spectrum_estimate(entries, phi[0])
+    spec = spectrum_estimate(entries, args.phi[0])
     draws = sample_limit_law(spec, args.draws, seed=seed)
     print("k,eigenvalue")
     for k, lam in enumerate(spec.eigenvalues, start=1):
@@ -312,16 +287,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

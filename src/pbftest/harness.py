@@ -63,6 +63,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        if self.B < 1:
+            raise ValueError("B must be at least 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if self.n < 1 or self.m < 1:
@@ -183,22 +185,22 @@ def run_sweep(base: ScenarioConfig, parameter: str, values, progress=None) -> li
 
     Each value gets an independently derived seed, so adding or reordering
     sweep points never changes the others.  Integer parameters (n, m, d, B)
-    reject non-integral values instead of truncating them.  `progress` gets
-    the replications completed across all points so far, index * reps + done
-    during point `index`, ending at len(values) * reps.
+    reject non-integral values instead of truncating them, and every point is
+    validated before the first one runs.  `progress` gets the replications
+    completed across all points so far, index * reps + done during point
+    `index`, ending at len(values) * reps.
     """
     if parameter not in ("r", "sigma", "d", "delta", "n", "m", "B"):
         raise ValueError(f"unknown sweep parameter {parameter!r}")
     cast = _FIELD_TYPES[parameter]
-    values = list(values)  # checked before any point runs, then iterated
-    for value in values:
+    points = []
+    for index, value in enumerate(values):
         if cast is int and not float(value).is_integer():
             raise ValueError(f"sweep parameter {parameter} takes integers, got {value!r}")
+        seed = derive_seed(base.seed, 1000 + index)
+        points.append((value, replace(base, seed=seed, **{parameter: cast(value)})))
     rows = []
-    for index, value in enumerate(values):
-        bound = replace(
-            base, seed=derive_seed(base.seed, 1000 + index), **{parameter: cast(value)}
-        )
+    for index, (value, bound) in enumerate(points):
         offset = index * base.reps  # read only while this point runs
         tick = (lambda done: progress(offset + done)) if progress else None
         estimates = run_power(bound, progress=tick)
@@ -306,6 +308,9 @@ def ingest_pair(
 ) -> tuple[FunctionalSample, int]:
     """Ingest two unlabeled curve CSVs as groups X and Y.
 
+    With `header`, both files must carry the same abscissae (else DataError),
+    so the result does not depend on which file is X.
+
     Returns:
         (sample, dropped_row_count) with drops summed over both files.
     """
@@ -313,9 +318,9 @@ def ingest_pair(
     y_values, y_abs, y_dropped = read_curves_csv(y_path, header)
     if x_values.shape[1] != y_values.shape[1]:
         raise DataError("the two files have different curve lengths")
-    sample_grid = _resolve_grid(
-        repr_kind, grid, x_abs if x_abs is not None else y_abs, x_values.shape[1]
-    )
+    if header and not np.array_equal(x_abs, y_abs, equal_nan=True):
+        raise DataError(f"{x_path} and {y_path} have different header abscissae")
+    sample_grid = _resolve_grid(repr_kind, grid, x_abs, x_values.shape[1])
     sample = make_sample(x_values, y_values, repr_kind, sample_grid)
     return sample, x_dropped + y_dropped
 
@@ -347,14 +352,22 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"expected one of {', '.join(_BOOLEANS)}, got {text!r}") from None
 
 
+def parse_phi_list(text: str) -> tuple:
+    """Comma list of phi names: case-insensitive, blank items skipped, at least one."""
+    names = [p.strip().lower() for p in text.split(",") if p.strip()]
+    if not names or not set(names) <= {phi.value for phi in PhiKind}:
+        raise ValueError(f"unknown phi in {text!r} (a comma list of l2, exp, log)")
+    return tuple(map(PhiKind, names))
+
+
 def read_config_file(path) -> dict:
     """Parse a flat key=value scenario config file.
 
     Lines are `key=value`; blank lines and `#` comments are skipped.  Keys
     are the `ScenarioConfig` fields, typed as declared there, except that
-    `phi` takes a comma-separated list in place of `phis`.  A value that does
-    not parse raises DataError naming the file and line.  CLI flags override
-    these values.
+    `phi` takes a comma list in place of `phis`, parsed by `parse_phi_list`
+    as the `--phi` flag is.  A value that does not parse raises DataError
+    naming the file and line.  CLI flags override these values.
     """
     out = {}
     try:
@@ -372,7 +385,7 @@ def read_config_file(path) -> dict:
         key, value = key.strip(), value.strip()
         try:
             if key == "phi":
-                out["phis"] = tuple(PhiKind(p.strip()) for p in value.split(","))
+                out["phis"] = parse_phi_list(value)
             elif key in _FIELD_TYPES and key != "phis":
                 cast = _FIELD_TYPES[key]
                 out[key] = _parse_bool(value) if cast is bool else cast(value)

@@ -1,16 +1,24 @@
+import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pbftest
+from pbftest import ScenarioConfig
 from pbftest.cli import build_parser, main
 
 
@@ -208,6 +216,151 @@ def test_power_config_file_with_flag_override(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "run.cfg: line 2" in err
+
+
+def _subcommand(name: str) -> argparse.ArgumentParser:
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return subs.choices[name]
+
+
+@pytest.mark.parametrize("command", ["power", "sweep"])
+@pytest.mark.parametrize("field", [f.name for f in fields(ScenarioConfig)])
+def test_every_config_field_is_one_flag(command, field):
+    # flags reach ScenarioConfig by dest alone, so each field needs exactly one
+    dests = [a.dest for a in _subcommand(command)._actions if a.option_strings]
+    assert dests.count(field) == 1
+
+
+def _mixed_case(name: str):
+    return st.tuples(*(st.sampled_from([c.lower(), c.upper()]) for c in name)).map("".join)
+
+
+@st.composite
+def _phi_texts(draw):
+    names = draw(st.lists(st.sampled_from(["l2", "exp", "log"]), min_size=1, max_size=3))
+    items = [draw(_mixed_case(name)) for name in names]
+    blanks = draw(st.lists(st.sampled_from(["", " "]), max_size=2))
+    return ",".join(draw(st.permutations(items + blanks)))
+
+
+# settings a study may omit, each as the text given to its flag and its file key;
+# the booleans are bare flags, so only their file spellings vary
+_OPTIONAL_SETTINGS = {
+    "n": st.sampled_from(["4", "6"]),
+    "m": st.sampled_from(["5", "7"]),
+    "B": st.sampled_from(["9", "19"]),
+    "alpha": st.sampled_from(["0.05", "0.2"]),
+    "phis": _phi_texts(),
+    "r": st.sampled_from(["0", "0.5"]),
+    "sigma": st.sampled_from(["1", "2.5"]),
+    "d": st.sampled_from(["3", "5"]),
+    "delta": st.sampled_from(["0.25", "1"]),
+    "grid_points": st.sampled_from(["11", "21"]),
+    "normalized_cos": st.sampled_from(["1", "true", "Yes"]),
+    "sampled_on_grid": st.sampled_from(["1", "true", "Yes"]),
+    "workers": st.just("1"),
+}
+
+
+def _json_config(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 0, err.getvalue()
+    return json.loads(out.getvalue())["config"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(["ex1", "ex3", "ex4i", "ex6i", "ex7"]),
+    st.sampled_from(["1", "2"]),
+    st.sets(st.sampled_from(sorted(_OPTIONAL_SETTINGS)), max_size=6).flatmap(
+        lambda keys: st.fixed_dictionaries({key: _OPTIONAL_SETTINGS[key] for key in keys})
+    ),
+)
+def test_flags_and_config_file_give_the_same_config(scenario, reps, optional):
+    given_settings = dict(optional, scenario=scenario, reps=reps, seed="5")
+    flag_of = {a.dest: a.option_strings[0] for a in _subcommand("power")._actions}
+    flags, lines = [], []
+    for field, text in given_settings.items():
+        bare = field in ("normalized_cos", "sampled_on_grid")
+        flags += [flag_of[field]] if bare else [flag_of[field], text]
+        lines.append(f"{'phi' if field == 'phis' else field}={text}")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, ledger = Path(tmp) / "run.cfg", str(Path(tmp) / "ledger.csv")
+        cfg.write_text("\n".join(lines) + "\n")
+        from_flags = _json_config(["power", *flags, "--out", ledger, "--json"])
+        from_file = _json_config(["power", "--config", str(cfg), "--out", ledger, "--json"])
+    assert from_flags == from_file
+    if "phis" in optional:
+        names = [p.strip().lower() for p in optional["phis"].split(",") if p.strip()]
+        assert from_file["phis"] == names
+
+
+def test_malformed_phi_keeps_its_exit_code(tmp_path, capsys):
+    # one parser rejects the same lists everywhere: a flag is a usage error
+    # (1), a config line a data error (2) naming the line, and nothing runs
+    cfg, ledger = tmp_path / "run.cfg", tmp_path / "ledger.csv"
+    study = ("--n", "6", "--m", "6", "--b", "19", "--reps", "2", "--seed", "3", "--out", str(ledger))
+    x = tmp_path / "x.csv"
+    np.savetxt(x, np.random.default_rng(2).standard_normal((6, 4)), delimiter=",")
+    for text in ("foo", ",", "l2,cubic"):
+        cfg.write_text(f"scenario=ex3\nphi={text}\n")
+        code, out, err = run_cli(capsys, "power", "--config", str(cfg), *study)
+        assert (code, out) == (2, ""), text
+        assert "run.cfg: line 2: bad value for phi" in err
+        for argv in (
+            ["power", "--scenario", "ex3", *study],
+            ["sweep", "--scenario", "ex3", *study, "--param", "n", "--values", "6"],
+            ["test", str(x), str(x), "--seed", "1"],
+            ["spectrum", "--input", str(x), "--seed", "1"],
+        ):
+            code, out, err = run_cli(capsys, *argv, "--phi", text)
+            assert (code, out) == (1, ""), (text, argv)
+            assert "replication" not in err
+    for argv in (["test", str(x), str(x)], ["spectrum", "--input", str(x)]):
+        code, out, err = run_cli(capsys, *argv, "--phi", "l2,exp", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert "exactly one phi" in err
+    assert not ledger.exists()
+
+
+def test_sweep_checks_every_point_before_running(tmp_path, capsys):
+    # a bad later point exits 1 before point 0 runs or the ledger is touched
+    ledger = tmp_path / "sweep.csv"
+    for param in ("n", "B"):
+        code, out, err = run_cli(
+            capsys, "sweep", "--scenario", "ex1", "--n", "10", "--m", "10", "--b", "50",
+            "--reps", "20", "--seed", "1", "--param", param, "--values", "10,0",
+            "--out", str(ledger),
+        )
+        assert (code, out) == (1, ""), param
+        assert "must be at least 1" in err
+        assert "replication" not in err
+        assert not ledger.exists()
+
+
+def test_header_files_must_share_abscissae(tmp_path, capsys):
+    # y's header counts as much as x's: a y header that is malformed or on
+    # another grid is a data error in either file order
+    rng = np.random.default_rng(9)
+
+    def headed(name, header):
+        path = tmp_path / name
+        body = "\n".join(",".join(f"{v:.6f}" for v in row) for row in rng.standard_normal((8, 4)))
+        path.write_text(f"{header}\n{body}\n")
+        return str(path)
+
+    x = headed("x.csv", "0,0.25,0.5,1")
+    code, _, _ = run_cli(capsys, "test", x, headed("same.csv", "0,0.25,0.5,1"), "--header",
+                         "--b", "20", "--seed", "1")
+    assert code == 0
+    for header in ("0,0.5,0.25,1", "0,0.1,0.2,0.3"):
+        y = headed("y.csv", header)
+        for pair in ((x, y), (y, x)):
+            code, out, err = run_cli(capsys, "test", *pair, "--header", "--b", "20", "--seed", "1")
+            assert (code, out) == (2, ""), (header, pair)
+            assert "different header abscissae" in err
 
 
 def test_sweep_cli(tmp_path, capsys):

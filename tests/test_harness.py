@@ -34,6 +34,8 @@ def test_config_validation():
         ScenarioConfig(scenario="ex1", n=0, m=10)
     with pytest.raises(ValueError, match="phi"):
         ScenarioConfig(scenario="ex1", n=10, m=10, phis=())
+    with pytest.raises(ValueError, match="B must be at least 1"):
+        ScenarioConfig(scenario="ex1", n=10, m=10, B=0)
     cfg = ScenarioConfig(scenario="ex1", n=5, m=5, phis=("l2", "exp"))
     assert cfg.phis == (PhiKind.L2, PhiKind.EXP)
 
@@ -168,6 +170,12 @@ def test_ingest_pair(tmp_path):
     y.write_text("1,2\n")
     with pytest.raises(DataError):
         ingest_pair(x, y, "coeff")
+    # with --header, y's abscissae count as much as x's, in either order
+    x.write_text("0,0.5,1\n1,2,3\n")
+    y.write_text("0,0.6,1\n4,5,6\n")
+    for pair in ((x, y), (y, x)):
+        with pytest.raises(DataError, match="different header abscissae"):
+            ingest_pair(*pair, "grid", header=True)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -180,6 +188,11 @@ def test_config_file_round_trip(tmp_path):
     assert settings["scenario"] == "ex1"
     assert settings["n"] == 20 and settings["B"] == 300
     assert settings["phis"] == (PhiKind.L2, PhiKind.EXP)
+    # phi= takes the --phi syntax: any case, blank items skipped
+    for text, phis in (("L2,exp", (PhiKind.L2, PhiKind.EXP)), ("l2,", (PhiKind.L2,)),
+                       (" Log, ,EXP ", (PhiKind.LOG, PhiKind.EXP))):
+        path.write_text(f"phi={text}\n")
+        assert read_config_file(path) == {"phis": phis}
     bad = tmp_path / "bad.cfg"
     bad.write_text("mystery=1\n")
     with pytest.raises(DataError):
@@ -193,7 +206,7 @@ def test_config_file_round_trip(tmp_path):
     assert read_config_file(flags) == {
         "normalized_cos": True, "sampled_on_grid": False, "workers": 2,
     }
-    for text in ("n=abc", "phi=foo", "normalized_cos=maybe", "alpha=", "B=3.5"):
+    for text in ("n=abc", "phi=foo", "phi=,", "phi=", "normalized_cos=maybe", "alpha=", "B=3.5"):
         bad_value = tmp_path / "bad_value.cfg"
         bad_value.write_text(f"scenario=ex1\n{text}\n")
         with pytest.raises(DataError, match=r"bad_value\.cfg: line 2"):
