@@ -41,13 +41,15 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 class _KeySeed(ISeedSequence):
-    """Hands Philox the key words [key, 0], as `Philox(key=key)` stores them."""
+    """Hands Philox the key words (key, 0), as `Philox(key=key)` stores them."""
+
+    __slots__ = ("key",)
 
     def __init__(self, key: int):
         self.key = key
 
     def generate_state(self, n_words, dtype=np.uint32):  # Philox asks for (2, uint64)
-        return np.array([self.key, 0], dtype=np.uint64)
+        return (self.key, 0)  # Philox only indexes the words: no array to build
 
 
 def substream(seed: int, index: int = 0) -> np.random.Generator:

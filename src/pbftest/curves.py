@@ -7,6 +7,7 @@ the only input the test statistic ever needs.
 """
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -270,12 +271,21 @@ def _read_rows(path, header: bool, tagged: bool, finite: bool = True):
     Returns (values, tags, abscissae, dropped); `tags` holds the first cell
     of each kept row.  A header cell over the tag column is ignored.  Unless
     `finite` is false, a non-finite cell in a row kept is a DataError.
+
+    Lines end at `\\n` (less a `\\r` before it) and cells at `,`, as csv.reader
+    splits them, unless a quote, a NUL or another `\\r` sends the text to
+    csv.reader.  Not splitlines(): csv keeps `\\x0b`, `\\x85`, ... in a cell.
     """
     try:
         with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    lines = [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
+    if '"' in text or "\0" in text or any("\r" in line for line in lines):
+        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    else:
+        rows = [line.split(",") for line in lines if line]
     if not rows:
         raise DataError(f"{path}: file contains no rows")
     skip = 1 if tagged else 0

@@ -13,7 +13,6 @@ import importlib.util
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -69,7 +68,12 @@ class ScenarioConfig:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if self.n < 1 or self.m < 1:
             raise ValueError("both group sizes must be at least 1")
-        object.__setattr__(self, "phis", tuple(PhiKind(p) for p in self.phis))
+        if self.d < 1:
+            raise ValueError("d must be at least 1")
+        if self.workers < 0:
+            raise ValueError("workers must be at least 0 (0 uses every core)")
+        # a phi named twice would run its test twice per replication
+        object.__setattr__(self, "phis", tuple(dict.fromkeys(map(PhiKind, self.phis))))
         if not self.phis:
             raise ValueError("at least one phi is required")
 
@@ -165,6 +169,8 @@ def run_power(config: ScenarioConfig, progress=None) -> dict:
     rejections = {phi: 0 for phi in config.phis}
     with contextlib.ExitStack() as stack:
         if workers > 1 and config.reps > 1:
+            from concurrent.futures import ProcessPoolExecutor  # spares serial runs its import
+
             _warn_uncapped_blas()
             pool = stack.enter_context(
                 ProcessPoolExecutor(max_workers=workers, initializer=_limit_worker_blas)

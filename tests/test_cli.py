@@ -294,7 +294,7 @@ def test_flags_and_config_file_give_the_same_config(scenario, reps, optional):
     assert from_flags == from_file
     if "phis" in optional:
         names = [p.strip().lower() for p in optional["phis"].split(",") if p.strip()]
-        assert from_file["phis"] == names
+        assert from_file["phis"] == list(dict.fromkeys(names))  # repeats dropped
 
 
 def test_malformed_phi_keeps_its_exit_code(tmp_path, capsys):
@@ -337,6 +337,51 @@ def test_sweep_checks_every_point_before_running(tmp_path, capsys):
         assert (code, out) == (1, ""), param
         assert "must be at least 1" in err
         assert "replication" not in err
+        assert not ledger.exists()
+
+
+def test_repeated_phi_runs_once(tmp_path, capsys, monkeypatch):
+    # l2 named twice runs one test per replication, as flag and as file key
+    tests = []
+
+    def counted(sample, phi, **kwargs):
+        tests.append(phi.value)
+        return pbftest.permutation_test(sample, phi, **kwargs)
+
+    monkeypatch.setattr(pbftest.harness, "permutation_test", counted)
+    cfg, ledger = tmp_path / "run.cfg", tmp_path / "ledger.csv"
+    cfg.write_text("scenario=ex3\nn=8\nm=8\nB=20\nreps=2\nseed=1\nphi=l2,L2,exp\n")
+    study = ("--scenario", "ex3", "--n", "8", "--m", "8", "--b", "20", "--reps", "2", "--seed", "1")
+    for argv in ([*study, "--phi", "l2,L2,exp"], ["--config", str(cfg)]):
+        tests.clear()
+        code, out, _ = run_cli(capsys, "power", *argv, "--out", str(ledger), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["phis"] == ["l2", "exp"]
+        assert [row["phi"] for row in payload["results"]] == ["l2", "exp"]
+        assert tests == ["l2", "exp"] * 2
+
+
+def test_bad_d_or_workers_exits_before_running(tmp_path, capsys):
+    # d < 1 and workers < 0 fail when the config is built, flag or file alike:
+    # exit 1, no replication run, no ledger
+    cfg, ledger = tmp_path / "run.cfg", tmp_path / "ledger.csv"
+    study = ("--n", "8", "--m", "8", "--b", "20", "--reps", "20", "--seed", "1", "--out", str(ledger))
+    cases = [
+        (["sweep", "--scenario", "ex6i", *study, "--param", "d", "--values", "3,0"], None, "d must"),
+        (["power", "--scenario", "ex6i", "--d", "0", *study], None, "d must"),
+        (["power", "--config", str(cfg), *study], "scenario=ex6i\nd=0\n", "d must"),
+        (["power", "--scenario", "ex3", "--threads", "-2", *study], None, "workers must"),
+        (["power", "--config", str(cfg), *study], "scenario=ex3\nworkers=-2\n", "workers must"),
+        (["sweep", "--config", str(cfg), *study, "--param", "r", "--values", "0"],
+         "scenario=ex4i\nworkers=-2\n", "workers must"),
+    ]
+    for argv, text, message in cases:
+        if text is not None:
+            cfg.write_text(text)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert message in err and "replication" not in err
         assert not ledger.exists()
 
 

@@ -1,4 +1,5 @@
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pbftest import (
     read_curves_csv,
     write_curves_csv,
 )
+from pbftest import curves
 from pbftest.curves import _MISSING_TOKENS, RIEMANN_LEFT, _read_rows
 
 
@@ -264,12 +266,16 @@ _PAD = st.text(st.sampled_from(" \t\x0b\x0c\u00a0\u2003"), max_size=2)
 _NUMBER = st.floats(-1e6, 1e6).map(lambda v: f"{v!r}") | st.integers(-99, 99).map(str)
 _MISSING = st.sampled_from(["", "NA", "na", "nA", "nan", "NaN", "NAN"])
 _JUNK = st.sampled_from(["x", "N/A", "1.2.3", "--1", "nul"])
+# cells csv must quote: an embedded delimiter, quote or line break
+_QUOTED = st.sampled_from(["1,5", 'x"y', '"2"', "1\n2", "3\r\n", "4\r5", "NA,1"])
 _CELL = st.builds(
     lambda pad, core, tail: pad + core + tail,
     _PAD,
     st.one_of(_NUMBER, _NUMBER, _NUMBER, _MISSING, _JUNK),
     _PAD,
 )
+# each file draws its line endings from one of these sets
+_LINE_ENDS = st.sampled_from([("\n",), ("\r\n",), ("\n", "\r\n"), ("\r",), ("\r", "\n", "\r\n")])
 
 
 @st.composite
@@ -290,6 +296,21 @@ def _curve_files(draw):
     return rows, header, tagged
 
 
+@st.composite
+def _curve_texts(draw):
+    """A curve file's text, each line ending in \\n, \\r\\n or a lone \\r."""
+    rows, header, tagged = draw(_curve_files())
+    if rows and draw(st.integers(0, 3)) == 0:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(_QUOTED)
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    ends = draw(_LINE_ENDS)
+    text = io.StringIO()
+    for row in rows:
+        csv.writer(text, quoting=quoting, lineterminator=draw(st.sampled_from(ends))).writerow(row)
+    return text.getvalue(), header, tagged
+
+
 def _outcome(parse, path, header, tagged):
     try:
         return parse(path, header, tagged)
@@ -298,14 +319,14 @@ def _outcome(parse, path, header, tagged):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_curve_files())
+@given(_curve_texts())
 def test_read_rows_matches_per_cell_reference_property(tmp_path_factory, drawn):
-    # without inf-like cells the fast path must agree with the per-cell
-    # parser on values, tags, abscissae, dropped counts and every message
-    rows, header, tagged = drawn
+    # without inf-like cells both tokenizers (split for plain text, csv.reader
+    # for quotes or a lone \r) must agree with the per-cell csv.reader parser
+    # on values, tags, abscissae, dropped counts and every message
+    text, header, tagged = drawn
     path = tmp_path_factory.mktemp("csv") / "curves.csv"
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    path.write_text(text, newline="")
     got = _outcome(_read_rows, path, header, tagged)
     want = _outcome(_read_rows_reference, path, header, tagged)
     if isinstance(want, str):
@@ -318,3 +339,25 @@ def test_read_rows_matches_per_cell_reference_property(tmp_path_factory, drawn):
         assert got[2] is None
     else:
         assert np.array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("header", [False, True])
+def test_written_file_with_na_rows_skips_csv_reader(tmp_path, monkeypatch, header):
+    # write_curves_csv ends lines with \r\n; NA rows appended with \n make the
+    # mixed file a benchmark reads, and it must parse without csv.reader
+    path = tmp_path / "curves.csv"
+    values = np.random.default_rng(3).standard_normal((5, 4))
+    write_curves_csv(path, values, np.linspace(0, 1, 4) if header else None)
+    with open(path, "a", newline="") as fh:
+        fh.write("0.5,NA,1,2\n1,2,na,3\n")
+    want = _read_rows_reference(path, header, tagged=False)
+    assert want[0].shape == (5, 4) and want[3] == 2
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(curves.csv, "reader", no_reader)
+    got = _read_rows(path, header, tagged=False)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[0], values)
+    assert got[1] == want[1] and got[3] == want[3]
+    assert np.array_equal(got[2], want[2]) if header else got[2] is None

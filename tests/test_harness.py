@@ -1,7 +1,10 @@
 import csv
 import math
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,8 +39,16 @@ def test_config_validation():
         ScenarioConfig(scenario="ex1", n=10, m=10, phis=())
     with pytest.raises(ValueError, match="B must be at least 1"):
         ScenarioConfig(scenario="ex1", n=10, m=10, B=0)
+    with pytest.raises(ValueError, match="d must be at least 1"):
+        ScenarioConfig(scenario="ex6i", n=10, m=10, d=0)
+    with pytest.raises(ValueError, match="workers must be at least 0"):
+        ScenarioConfig(scenario="ex1", n=10, m=10, workers=-2)
+    assert ScenarioConfig(scenario="ex1", n=10, m=10, workers=0).workers == 0  # auto
     cfg = ScenarioConfig(scenario="ex1", n=5, m=5, phis=("l2", "exp"))
     assert cfg.phis == (PhiKind.L2, PhiKind.EXP)
+    # a repeated phi is dropped, first order kept
+    cfg = ScenarioConfig(scenario="ex1", n=5, m=5, phis=("log", "l2", PhiKind.LOG, "exp", "l2"))
+    assert cfg.phis == (PhiKind.LOG, PhiKind.L2, PhiKind.EXP)
 
 
 def test_single_replication_reproducible():
@@ -57,6 +68,16 @@ def test_run_power_counts_and_worker_invariance():
     assert serial.rejection_rate == serial.rejections / 40
     expected_se = math.sqrt(serial.rejection_rate * (1 - serial.rejection_rate) / 40)
     assert serial.mc_stderr == pytest.approx(expected_se)
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    # only a parallel run_power needs concurrent.futures.process (and multiprocessing)
+    code = "import sys, pbftest.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_run_power_warns_when_worker_blas_is_uncapped(monkeypatch):
