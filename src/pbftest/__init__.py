@@ -9,7 +9,6 @@ generators (`simgen`), and the level/power simulation harness (`harness`).
 from .curves import (
     COEFF,
     GRID,
-    Curve,
     DataError,
     FunctionalSample,
     GramMatrix,
@@ -19,7 +18,6 @@ from .curves import (
     gram,
     gram_call_count,
     gram_entries,
-    inner_product,
     make_sample,
     read_curves_csv,
     write_curves_csv,
@@ -28,7 +26,6 @@ from .harness import (
     PowerEstimate,
     ScenarioConfig,
     append_ledger,
-    ingest_csv,
     ingest_pair,
     read_config_file,
     run_power,
@@ -36,7 +33,7 @@ from .harness import (
     run_subsample_power,
     run_sweep,
 )
-from .permute import TestResult, critical_value, permutation_test, permuted_statistic
+from .permute import TestResult, critical_value, permutation_test
 from .simgen import (
     BASIS_WEIGHTS,
     SCENARIO_IDS,

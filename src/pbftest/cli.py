@@ -80,7 +80,7 @@ def _effective_seed(seed) -> int:
 
 
 def _load_grid(path) -> GridSpec:
-    values, _, _, _ = _read_rows(path, False, False, finite=False)  # GridSpec checks these
+    values, _, _ = _read_rows(path, False, finite=False)  # GridSpec checks these
     if values.shape[0] != 1:
         raise DataError(f"{path}: grid file must hold exactly one row of abscissae")
     try:

@@ -82,24 +82,6 @@ def equispaced_grid(points: int = 101, quadrature: str = TRAPEZOID) -> GridSpec:
 
 
 @dataclass(frozen=True)
-class Curve:
-    """One functional observation: grid values or basis coefficients."""
-
-    values: np.ndarray
-    kind: str = GRID
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1:
-            raise ValueError("curve values must be one-dimensional")
-        if self.kind not in (GRID, COEFF):
-            raise ValueError(f"unknown representation {self.kind!r}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("curve values must be finite (no NaN/Inf)")
-
-
-@dataclass(frozen=True)
 class FunctionalSample:
     """Pooled two-group sample of curves sharing one representation.
 
@@ -179,35 +161,6 @@ def make_sample(x_values, y_values, kind: str = GRID, grid: GridSpec | None = No
     return FunctionalSample(np.vstack([x, y]), labels, kind, grid)
 
 
-def inner_product(a: Curve, b: Curve, grid: GridSpec | None = None) -> float:
-    """Inner product of two curves.
-
-    Coefficient curves use the exact dot product (orthonormal basis); grid
-    curves use the grid's quadrature rule to approximate the L2 integral.
-
-    Args:
-        a: First curve.
-        b: Second curve; must share `a`'s representation and dimension.
-        grid: Required for grid curves, rejected for coefficient curves.
-
-    Returns:
-        The (approximate) inner product <a, b>.
-    """
-    if a.kind != b.kind:
-        raise ValueError("curves must share the same representation kind")
-    if a.values.size != b.values.size:
-        raise ValueError("curves must share the same dimension")
-    if a.kind == COEFF:
-        if grid is not None:
-            raise ValueError("coefficient curves take no grid")
-        return float(np.dot(a.values, b.values))
-    if grid is None:
-        raise ValueError("grid curves require a GridSpec")
-    if grid.points.size != a.values.size:
-        raise ValueError("grid length does not match curve length")
-    return float(np.dot(a.values * grid.weights(), b.values))
-
-
 def gram_entries(values: np.ndarray, kind: str = GRID, grid: GridSpec | None = None) -> np.ndarray:
     """N x N matrix of pairwise inner products of the rows of `values`.
 
@@ -258,19 +211,15 @@ def read_curves_csv(path, header: bool = False):
         header abscissae (or None), and the dropped-row count.
 
     Raises:
-        DataError: on unreadable files, inconsistent column counts,
-            non-numeric or non-finite cells, or zero usable rows.
+        DataError: on unreadable or undecodable files, malformed CSV,
+            inconsistent column counts, non-numeric or non-finite cells, or
+            zero usable rows.
     """
-    values, _, abscissae, dropped = _read_rows(path, header, tagged=False)
-    return values, abscissae, dropped
+    return _read_rows(path, header)
 
 
-def _read_rows(path, header: bool, tagged: bool, finite: bool = True):
-    """Parse a curve CSV, optionally with a leading group-tag column.
-
-    Returns (values, tags, abscissae, dropped); `tags` holds the first cell
-    of each kept row.  A header cell over the tag column is ignored.  Unless
-    `finite` is false, a non-finite cell in a row kept is a DataError.
+def _read_rows(path, header: bool, finite: bool = True):
+    """`read_curves_csv`, except that a false `finite` keeps non-finite cells.
 
     Lines end at `\\n` (less a `\\r` before it) and cells at `,`, as csv.reader
     splits them, unless a quote, a NUL or another `\\r` sends the text to
@@ -281,19 +230,23 @@ def _read_rows(path, header: bool, tagged: bool, finite: bool = True):
             text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot decode {path}: {exc}") from exc
     lines = [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
     if '"' in text or "\0" in text or any("\r" in line for line in lines):
-        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+        try:  # e.g. a cell over csv.field_size_limit(), which is process-wide
+            rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+        except csv.Error as exc:
+            raise DataError(f"{path}: {exc}") from exc
     else:
         rows = [line.split(",") for line in lines if line]
     if not rows:
         raise DataError(f"{path}: file contains no rows")
-    skip = 1 if tagged else 0
 
     abscissae = None
     if header:
         try:
-            abscissae = np.array([float(cell) for cell in rows[0][skip:]], dtype=float)
+            abscissae = np.array([float(cell) for cell in rows[0]], dtype=float)
         except ValueError as exc:
             raise DataError(f"{path}: header row is not numeric") from exc
         rows = rows[1:]
@@ -301,18 +254,16 @@ def _read_rows(path, header: bool, tagged: bool, finite: bool = True):
             raise DataError(f"{path}: no data rows after header")
 
     width = len(rows[0])
-    if width <= skip:
-        raise DataError(f"{path}: labeled rows need a tag plus at least one value")
-    kept, tags, dropped = [], [], 0
+    kept, dropped = [], 0
     for lineno, row in enumerate(rows, start=1):
         if len(row) != width:
             raise DataError(f"{path}: row {lineno} has {len(row)} columns, expected {width}")
         try:  # float() strips the same whitespace that str.strip() does
-            values = list(map(float, row[skip:]))
+            values = list(map(float, row))
         except ValueError:
             values = None
         if values is None or not math.isfinite(sum(values)):  # any inf/NaN cell, or overflow
-            if any(cell.strip().lower() in _MISSING_TOKENS for cell in row[skip:]):
+            if any(cell.strip().lower() in _MISSING_TOKENS for cell in row):
                 dropped += 1
                 continue
             if values is None:
@@ -320,12 +271,11 @@ def _read_rows(path, header: bool, tagged: bool, finite: bool = True):
             if finite and not all(map(math.isfinite, values)):
                 raise DataError(f"{path}: row {lineno} has a non-finite cell")
         kept.append(values)
-        tags.append(row[0].strip())
     if not kept:
         raise DataError(f"{path}: no usable rows (dropped {dropped})")
-    if abscissae is not None and abscissae.size != width - skip:
+    if abscissae is not None and abscissae.size != width:
         raise DataError(f"{path}: header length does not match data width")
-    return np.array(kept, dtype=float), tags, abscissae, dropped
+    return np.array(kept, dtype=float), abscissae, dropped
 
 
 def write_curves_csv(path, values: np.ndarray, abscissae: np.ndarray | None = None) -> None:

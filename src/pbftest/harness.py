@@ -25,7 +25,6 @@ from .curves import (
     FunctionalSample,
     GridSpec,
     equispaced_grid,
-    _read_rows,
     make_sample,
     read_curves_csv,
 )
@@ -70,6 +69,9 @@ class ScenarioConfig:
             raise ValueError("both group sizes must be at least 1")
         if self.d < 1:
             raise ValueError("d must be at least 1")
+        for name in ("r", "sigma", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.workers < 0:
             raise ValueError("workers must be at least 0 (0 uses every core)")
         # a phi named twice would run its test twice per replication
@@ -280,31 +282,6 @@ def run_subsample_power(
     return PowerEstimate(PhiKind(kind), rejections, reps)
 
 
-def ingest_csv(
-    path,
-    repr_kind: str = GRID,
-    grid: GridSpec | None = None,
-    header: bool = False,
-) -> tuple[FunctionalSample, int]:
-    """Ingest a labeled curve CSV into a two-group sample.
-
-    The first column of every row is the group tag; the two distinct tags
-    define the groups in order of first appearance.  Rows with missing value
-    cells are dropped and counted.
-
-    Returns:
-        (sample, dropped_row_count).
-    """
-    values, tags, abscissae, dropped = _read_rows(path, header, tagged=True)
-    distinct = list(dict.fromkeys(tags))
-    if len(distinct) != 2:
-        raise DataError(f"{path}: expected exactly 2 group tags, found {distinct}")
-    labels = np.array([distinct.index(tag) for tag in tags], dtype=np.int8)
-    sample_grid = _resolve_grid(repr_kind, grid, abscissae, values.shape[1])
-    sample = FunctionalSample(values, labels, repr_kind, sample_grid)
-    return sample, dropped
-
-
 def ingest_pair(
     x_path,
     y_path,
@@ -381,6 +358,8 @@ def read_config_file(path) -> dict:
             lines = fh.readlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot decode {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):

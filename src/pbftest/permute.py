@@ -14,7 +14,7 @@ import numpy as np
 
 from ._rng import substream
 from .curves import FunctionalSample, GramMatrix, NumericalError, gram
-from .statistic import PhiKind, StatisticValue, batch_statistics, pbf_statistic
+from .statistic import PhiKind, StatisticValue, batch_statistics
 
 RANDOMIZED = "randomized"
 EXHAUSTIVE = "exhaustive"
@@ -60,16 +60,6 @@ class TestResult:
 
 def _tie_threshold(observed: float) -> float:
     return observed - _TIE_RTOL * max(1.0, abs(observed))
-
-
-def permuted_statistic(G: GramMatrix, permuted_labels, kind: PhiKind) -> float:
-    """Statistic under a relabeling, reusing the observed Gram matrix."""
-    labels = np.asarray(permuted_labels)
-    n = int(np.sum(labels == 0))
-    m = labels.size - n
-    if n != G.n or m != G.m:
-        raise ValueError("relabeling must preserve the group sizes")
-    return pbf_statistic(G, labels, kind).zeta_hat
 
 
 def _relabelings(N: int, n: int, B: int, seed: int, budget: int) -> tuple[np.ndarray, str]:

@@ -503,6 +503,62 @@ def test_nonfinite_cell_is_data_error(tmp_path, capsys):
             assert f"data error: {x}: row 3 has a non-finite cell" in err
 
 
+def test_undecodable_input_is_data_error(tmp_path, capsys):
+    # a 0xff byte in a curve file, a --grid file or a config file is bad
+    # input: exit 2 naming the file, not a usage error from the codec
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    np.savetxt(good, np.random.default_rng(10).standard_normal((8, 4)), delimiter=",")
+    bad.write_bytes(b"1,2,3,\xff\n4,5,6,7\n")
+    ledger = tmp_path / "ledger.csv"
+    for command in (
+        ["test", str(good), str(bad), "--seed", "1"],
+        ["spectrum", "--input", str(bad), "--seed", "1"],
+        ["test", str(good), str(good), "--grid", str(bad), "--seed", "1"],
+        ["power", "--config", str(bad), "--out", str(ledger)],
+    ):
+        code, out, err = run_cli(capsys, *command)
+        assert (code, out) == (2, ""), command
+        assert f"data error: cannot decode {bad}" in err
+    assert not ledger.exists()
+
+
+def test_oversized_quoted_cell_is_data_error(tmp_path):
+    # csv.reader refuses a cell over its field limit; that is a data error,
+    # not a traceback (the limit is process-wide, so it is left as it is)
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    x.write_text('"1",2\n3,' + " " * 140_000 + "4\n")
+    y.write_text("1,2\n3,4\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(pbftest.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbftest", "test", str(x), str(y), "--b", "9", "--seed", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"data error: {x}: field larger than field limit" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_nonfinite_scenario_parameter_exits_before_running(tmp_path, capsys):
+    # r, sigma and delta that are not finite fail when the config is built,
+    # flag or file alike: exit 1, no replication run, no ledger
+    cfg, ledger = tmp_path / "run.cfg", tmp_path / "ledger.csv"
+    study = ("--n", "8", "--m", "8", "--b", "20", "--reps", "40", "--seed", "1", "--out", str(ledger))
+    cases = [
+        (["sweep", "--scenario", "ex5i", *study, "--param", "sigma", "--values", "2,nan"], None, "sigma"),
+        (["power", "--scenario", "ex4i", "--r", "inf", *study], None, "r"),
+        (["power", "--config", str(cfg), *study], "scenario=ex8\ndelta=-inf\n", "delta"),
+        (["sweep", "--config", str(cfg), *study, "--param", "r", "--values", "0,1"],
+         "scenario=ex5i\nsigma=nan\n", "sigma"),
+    ]
+    for argv, text, name in cases:
+        if text is not None:
+            cfg.write_text(text)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert f"error: {name} must be finite" in err and "replication" not in err
+        assert not ledger.exists()
+
+
 def test_parser_is_built_once_and_reused(tmp_path, capsys):
     assert build_parser() is build_parser()
     x, y = tmp_path / "x.csv", tmp_path / "y.csv"

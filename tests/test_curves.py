@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbftest import (
-    Curve,
     DataError,
     FunctionalSample,
     GridSpec,
@@ -15,8 +14,6 @@ from pbftest import (
     equispaced_grid,
     gram,
     gram_entries,
-    ingest_csv,
-    inner_product,
     make_sample,
     read_curves_csv,
     write_curves_csv,
@@ -28,45 +25,35 @@ from pbftest.curves import _MISSING_TOKENS, RIEMANN_LEFT, _read_rows
 GRID101 = equispaced_grid(101)
 
 
+def _inner(a, b, kind="grid", grid=None):
+    return gram_entries(np.vstack([a, b]), kind, grid)[0, 1]
+
+
 def test_coeff_orthonormal_directions():
-    a = Curve([1.0, 0.0], "coeff")
-    b = Curve([0.0, 1.0], "coeff")
-    assert inner_product(a, b) == 0.0
+    assert _inner([1.0, 0.0], [0.0, 1.0], "coeff") == 0.0
 
 
 def test_grid_constant_times_linear():
     t = GRID101.points
-    a = Curve(np.ones_like(t))
-    b = Curve(t)
     # trapezoid is exact for this piecewise-linear integrand
-    assert inner_product(a, b, GRID101) == pytest.approx(0.5, abs=1e-12)
+    assert _inner(np.ones_like(t), t, grid=GRID101) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_grid_linear_squared():
     t = GRID101.points
-    b = Curve(t)
-    assert inner_product(b, b, GRID101) == pytest.approx(1.0 / 3.0, abs=2e-5)
+    assert _inner(t, t, grid=GRID101) == pytest.approx(1.0 / 3.0, abs=2e-5)
 
 
 def test_riemann_left_cross_check():
     grid = equispaced_grid(101, RIEMANN_LEFT)
     t = grid.points
-    value = inner_product(Curve(np.ones_like(t)), Curve(t), grid)
     # left sums undershoot the increasing integrand by h/2
-    assert value == pytest.approx(0.495, abs=1e-12)
+    assert _inner(np.ones_like(t), t, grid=grid) == pytest.approx(0.495, abs=1e-12)
 
 
 def test_inner_product_errors():
-    a = Curve([1.0, 0.0], "coeff")
-    g = Curve([1.0, 0.0], "grid")
-    with pytest.raises(ValueError):
-        inner_product(a, g)
-    with pytest.raises(ValueError):
-        inner_product(a, Curve([1.0, 0.0, 0.0], "coeff"))
-    with pytest.raises(ValueError):
-        inner_product(g, g)  # grid kind without a grid
-    with pytest.raises(ValueError):
-        inner_product(a, a, equispaced_grid(2))  # coeff kind with a grid
+    with pytest.raises(ValueError, match="requires a GridSpec"):
+        _inner([1.0, 0.0], [1.0, 0.0])  # grid kind without a grid
 
 
 def test_gridspec_validation():
@@ -76,15 +63,6 @@ def test_gridspec_validation():
         GridSpec([0.0])
     with pytest.raises(ValueError):
         GridSpec([0.0, 1.0], "simpson")
-
-
-def test_curve_validation():
-    with pytest.raises(ValueError):
-        Curve([0.0, np.nan])
-    with pytest.raises(ValueError):
-        Curve([[0.0, 1.0]])
-    with pytest.raises(ValueError):
-        Curve([0.0, 1.0], "spline")
 
 
 def test_gram_single_constant_curve():
@@ -204,20 +182,17 @@ def test_csv_errors(tmp_path):
 @pytest.mark.parametrize("token", ["inf", "-inf", "-nan", "+NaN", "1e999", " Infinity "])
 def test_nonfinite_cell_is_data_error(tmp_path, token):
     # a non-finite cell that is not a missing token names its file and row
-    plain, tagged = tmp_path / "plain.csv", tmp_path / "tagged.csv"
+    plain = tmp_path / "plain.csv"
     plain.write_text(f"1,2,3\n4,NA,6\n7,{token},9\n")
-    tagged.write_text(f"a,1,2,3\nb,4,NA,6\na,7,{token},9\nb,1,1,1\n")
     with pytest.raises(DataError, match=r"plain\.csv: row 3 has a non-finite cell"):
         read_curves_csv(plain)
-    with pytest.raises(DataError, match=r"tagged\.csv: row 3 has a non-finite cell"):
-        ingest_csv(tagged, "grid")
     # a missing cell drops its row first, as it does for a non-numeric cell
     plain.write_text(f"1,2,3\n4,NA,{token}\n")
     values, _, dropped = read_curves_csv(plain)
     assert values.shape == (1, 3) and dropped == 1
 
 
-def _read_rows_reference(path, header: bool, tagged: bool):
+def _read_rows_reference(path, header: bool):
     """The per-cell parser the fast path replaced, verbatim: strip, missing
     check and float() on every cell.  It keeps non-finite cells."""
     try:
@@ -227,12 +202,11 @@ def _read_rows_reference(path, header: bool, tagged: bool):
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: file contains no rows")
-    skip = 1 if tagged else 0
 
     abscissae = None
     if header:
         try:
-            abscissae = np.array([float(cell) for cell in rows[0][skip:]], dtype=float)
+            abscissae = np.array([float(cell) for cell in rows[0]], dtype=float)
         except ValueError as exc:
             raise DataError(f"{path}: header row is not numeric") from exc
         rows = rows[1:]
@@ -240,26 +214,23 @@ def _read_rows_reference(path, header: bool, tagged: bool):
             raise DataError(f"{path}: no data rows after header")
 
     width = len(rows[0])
-    if width <= skip:
-        raise DataError(f"{path}: labeled rows need a tag plus at least one value")
-    kept, tags, dropped = [], [], 0
+    kept, dropped = [], 0
     for lineno, row in enumerate(rows, start=1):
         if len(row) != width:
             raise DataError(f"{path}: row {lineno} has {len(row)} columns, expected {width}")
         cells = [cell.strip() for cell in row]
-        if any(cell.lower() in _MISSING_TOKENS for cell in cells[skip:]):
+        if any(cell.lower() in _MISSING_TOKENS for cell in cells):
             dropped += 1
             continue
         try:
-            kept.append([float(cell) for cell in cells[skip:]])
+            kept.append([float(cell) for cell in cells])
         except ValueError as exc:
             raise DataError(f"{path}: row {lineno} has a non-numeric cell") from exc
-        tags.append(cells[0])
     if not kept:
         raise DataError(f"{path}: no usable rows (dropped {dropped})")
-    if abscissae is not None and abscissae.size != width - skip:
+    if abscissae is not None and abscissae.size != width:
         raise DataError(f"{path}: header length does not match data width")
-    return np.array(kept, dtype=float), tags, abscissae, dropped
+    return np.array(kept, dtype=float), abscissae, dropped
 
 
 _PAD = st.text(st.sampled_from(" \t\x0b\x0c\u00a0\u2003"), max_size=2)
@@ -281,25 +252,23 @@ _LINE_ENDS = st.sampled_from([("\n",), ("\r\n",), ("\n", "\r\n"), ("\r",), ("\r"
 @st.composite
 def _curve_files(draw):
     """Rows of finite, missing, junk and padded cells, at times ragged."""
-    tagged, header = draw(st.booleans()), draw(st.booleans())
-    width = draw(st.integers(1, 4)) + tagged
+    header = draw(st.booleans())
+    width = draw(st.integers(1, 4))
     rows = []
     if header:
         rows.append(draw(st.lists(_NUMBER | _JUNK, min_size=width, max_size=width + 1)))
     for _ in range(draw(st.integers(0, 6))):
         row = draw(st.lists(_CELL, min_size=width, max_size=width))
-        if tagged:
-            row[0] = draw(_PAD) + draw(st.sampled_from(["a", "b"])) + draw(_PAD)
         if draw(st.integers(0, 15)) == 0:
             row = row[:-1] or row + ["1"]
         rows.append(row)
-    return rows, header, tagged
+    return rows, header
 
 
 @st.composite
 def _curve_texts(draw):
     """A curve file's text, each line ending in \\n, \\r\\n or a lone \\r."""
-    rows, header, tagged = draw(_curve_files())
+    rows, header = draw(_curve_files())
     if rows and draw(st.integers(0, 3)) == 0:
         row = draw(st.sampled_from(rows))
         row[draw(st.integers(0, len(row) - 1))] = draw(_QUOTED)
@@ -308,12 +277,12 @@ def _curve_texts(draw):
     text = io.StringIO()
     for row in rows:
         csv.writer(text, quoting=quoting, lineterminator=draw(st.sampled_from(ends))).writerow(row)
-    return text.getvalue(), header, tagged
+    return text.getvalue(), header
 
 
-def _outcome(parse, path, header, tagged):
+def _outcome(parse, path, header):
     try:
-        return parse(path, header, tagged)
+        return parse(path, header)
     except DataError as exc:
         return str(exc)
 
@@ -323,22 +292,22 @@ def _outcome(parse, path, header, tagged):
 def test_read_rows_matches_per_cell_reference_property(tmp_path_factory, drawn):
     # without inf-like cells both tokenizers (split for plain text, csv.reader
     # for quotes or a lone \r) must agree with the per-cell csv.reader parser
-    # on values, tags, abscissae, dropped counts and every message
-    text, header, tagged = drawn
+    # on values, abscissae, dropped counts and every message
+    text, header = drawn
     path = tmp_path_factory.mktemp("csv") / "curves.csv"
     path.write_text(text, newline="")
-    got = _outcome(_read_rows, path, header, tagged)
-    want = _outcome(_read_rows_reference, path, header, tagged)
+    got = _outcome(_read_rows, path, header)
+    want = _outcome(_read_rows_reference, path, header)
     if isinstance(want, str):
         assert got == want
         return
     assert not isinstance(got, str), got
     assert np.array_equal(got[0], want[0]) and got[0].shape == want[0].shape
-    assert got[1] == want[1] and got[3] == want[3]
-    if want[2] is None:
-        assert got[2] is None
+    assert got[2] == want[2]
+    if want[1] is None:
+        assert got[1] is None
     else:
-        assert np.array_equal(got[2], want[2])
+        assert np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("header", [False, True])
@@ -350,14 +319,14 @@ def test_written_file_with_na_rows_skips_csv_reader(tmp_path, monkeypatch, heade
     write_curves_csv(path, values, np.linspace(0, 1, 4) if header else None)
     with open(path, "a", newline="") as fh:
         fh.write("0.5,NA,1,2\n1,2,na,3\n")
-    want = _read_rows_reference(path, header, tagged=False)
-    assert want[0].shape == (5, 4) and want[3] == 2
+    want = _read_rows_reference(path, header)
+    assert want[0].shape == (5, 4) and want[2] == 2
 
     def no_reader(*args, **kwargs):
         raise AssertionError("csv.reader called")
 
     monkeypatch.setattr(curves.csv, "reader", no_reader)
-    got = _read_rows(path, header, tagged=False)
+    got = _read_rows(path, header)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[0], values)
-    assert got[1] == want[1] and got[3] == want[3]
-    assert np.array_equal(got[2], want[2]) if header else got[2] is None
+    assert got[2] == want[2]
+    assert np.array_equal(got[1], want[1]) if header else got[1] is None

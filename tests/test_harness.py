@@ -15,7 +15,6 @@ from pbftest import (
     PowerEstimate,
     ScenarioConfig,
     append_ledger,
-    ingest_csv,
     ingest_pair,
     make_sample,
     read_config_file,
@@ -139,45 +138,6 @@ def test_ledger_append(tmp_path):
         parsed = list(csv.reader(fh))
     assert tuple(parsed[0]) == LEDGER_COLUMNS
     assert len(parsed) == 3  # header + two appended rows
-
-
-def test_ingest_csv_label_column(tmp_path):
-    path = tmp_path / "labeled.csv"
-    path.write_text("a,1,2,3\nb,4,,6\na,7,8,9\nb,1,1,1\n")
-    sample, dropped = ingest_csv(path, "grid")
-    assert dropped == 1
-    assert (sample.n, sample.m) == (2, 1)
-    assert sample.grid.points.size == 3
-
-
-def test_ingest_csv_header_width(tmp_path):
-    path = tmp_path / "dti_like.csv"
-    abscissae = ",".join(str(v) for v in np.linspace(0, 1, 93))
-    row = ",".join("0.5" for _ in range(93))
-    path.write_text(f"x,{abscissae}\nms,{row}\nhc,{row}\nms,{row}\n")
-    sample, dropped = ingest_csv(path, "grid", header=True)
-    assert sample.grid.points.size == 93
-    assert sample.values.shape == (3, 93)
-    assert dropped == 0
-
-
-def test_ingest_csv_errors(tmp_path):
-    ragged = tmp_path / "ragged.csv"
-    ragged.write_text("a,1,2\nb,3\n")
-    with pytest.raises(DataError):
-        ingest_csv(ragged, "grid")
-    one_tag = tmp_path / "one_tag.csv"
-    one_tag.write_text("a,1,2\na,3,4\n")
-    with pytest.raises(DataError):
-        ingest_csv(one_tag, "grid")
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    with pytest.raises(DataError):
-        ingest_csv(empty, "grid")
-    header_only = tmp_path / "header_only.csv"
-    header_only.write_text("x,0,0.5,1\n")
-    with pytest.raises(DataError, match="no data rows after header"):
-        ingest_csv(header_only, "grid", header=True)
 
 
 def test_ingest_pair(tmp_path):

@@ -16,10 +16,8 @@ from pbftest import (
     gram_call_count,
     gram_entries,
     make_sample,
-    pbf_statistic,
     pbf_statistic_oracle,
     permutation_test,
-    permuted_statistic,
     run_power,
     ScenarioConfig,
 )
@@ -34,41 +32,30 @@ def _null_sample(rng, n=6, m=6, dim=4):
     return make_sample(values[:n], values[n:], "coeff")
 
 
-def test_identity_permutation_matches_observed(rng):
-    sample = _null_sample(rng)
-    G = gram(sample)
-    for kind in PhiKind:
-        observed = pbf_statistic(G, sample.labels, kind).zeta_hat
-        assert permuted_statistic(G, sample.labels, kind) == observed
-
-
 def test_full_group_swap_is_symmetric(rng):
-    sample = _null_sample(rng, 5, 5)
-    G = gram(sample)
-    for kind in PhiKind:
-        observed = pbf_statistic(G, sample.labels, kind).zeta_hat
-        swapped = permuted_statistic(G, 1 - sample.labels, kind)
-        assert abs(swapped - observed) <= 1e-12
+    # enumeration draws every partition, so swapping the groups permutes the
+    # replicate multiset and leaves zeta and p as they were
+    values = rng.standard_normal((10, 4))
+    budget = math.comb(10, 5)
+    for n in (4, 5):
+        x, y = values[:n], values[n:]
+        for kind in PhiKind:
+            a = permutation_test(make_sample(x, y, "coeff"), kind, exhaustive_budget=budget)
+            b = permutation_test(make_sample(y, x, "coeff"), kind, exhaustive_budget=budget)
+            assert a.mode == b.mode == EXHAUSTIVE
+            assert abs(b.zeta_hat - a.zeta_hat) <= 1e-12
+            assert b.p_value == a.p_value
 
 
 def test_permuted_statistic_matches_oracle_on_relabeled_sample(rng):
-    sample = _null_sample(rng, 6, 6)
+    sample = _null_sample(rng, 5, 7)
     G = gram(sample)
-    perm = rng.permutation(12)
-    permuted_labels = np.zeros(12, np.int8)
-    permuted_labels[perm[6:]] = 1
+    amat, _ = _relabelings(12, 5, 40, 8, budget=0)
     for kind in PhiKind:
-        fast = permuted_statistic(G, permuted_labels, kind)
-        oracle = pbf_statistic_oracle(G, permuted_labels, kind)
-        assert abs(fast - oracle) <= 1e-10 * (1.0 + abs(oracle))
-
-
-def test_group_size_mismatch_rejected(rng):
-    sample = _null_sample(rng, 4, 6)
-    G = gram(sample)
-    bad = np.concatenate([np.zeros(5, np.int8), np.ones(5, np.int8)])
-    with pytest.raises(ValueError):
-        permuted_statistic(G, bad, PhiKind.L2)
+        result = permutation_test(sample, kind, B=40, seed=8, keep_replicates=True)
+        for flags, fast in zip(amat, result.replicate_stats):
+            oracle = pbf_statistic_oracle(G, (1.0 - flags).astype(np.int8), kind)
+            assert abs(fast - oracle) <= 1e-10 * (1.0 + abs(oracle))
 
 
 def test_critical_value_identical_curves_is_zero():
@@ -208,6 +195,54 @@ def test_l2_scale_invariance_property(n, extra, dim, k, B, seed, data):
     assert b.zeta_hat == a.zeta_hat * 4.0**k
     assert np.array_equal(b.replicate_stats, a.replicate_stats * 4.0**k)
     assert b.p_value == a.p_value
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(1, 6),
+    st.integers(-3, 3),
+    st.sampled_from(list(PhiKind)),
+    st.integers(0, 2**32 - 1),
+)
+def test_unitary_invariance_property(n, m, dim, k, kind, seed):
+    # the statistic reads the curves only through inner products, which an
+    # orthogonal map of the coefficients keeps up to rounding; normal draws,
+    # because near-equal curves leave only rounding noise to compare
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n + m, dim)) * 10.0**k
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q *= np.where(np.diag(r) < 0.0, -1.0, 1.0)  # Haar-distributed with the sign fix
+    base = make_sample(values[:n], values[n:], "coeff")
+    rotated = make_sample(values[:n] @ q, values[n:] @ q, "coeff")
+    a = permutation_test(base, kind, B=20, seed=seed, keep_replicates=True)
+    b = permutation_test(rotated, kind, B=20, seed=seed, keep_replicates=True)
+    want = np.concatenate([[a.zeta_hat], a.replicate_stats])
+    got = np.concatenate([[b.zeta_hat], b.replicate_stats])
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.integers(-320, 308),  # 1e308 is the largest power of ten a double holds
+    st.sampled_from(list(PhiKind)),
+    st.data(),
+)
+def test_extreme_scales_are_finite_or_numerical_error_property(n, m, dim, k, kind, data):
+    # from subnormal to overflowing inner products: a p-value is right or an error
+    cells = data.draw(arrays(float, (n + m, dim), elements=st.floats(-1.0, 1.0)))
+    values = cells * float(f"1e{k}")
+    sample = make_sample(values[:n], values[n:], "coeff")
+    try:
+        result = permutation_test(sample, kind, B=20, seed=k)
+    except NumericalError:
+        return
+    assert np.isfinite(result.zeta_hat) and np.isfinite(result.scaled)
+    assert 0.0 < result.p_value <= 1.0
 
 
 def test_pvalue_when_multisets_match(rng):
