@@ -33,7 +33,7 @@ from .harness import (
     run_subsample_power,
     run_sweep,
 )
-from .permute import TestResult, critical_value, permutation_test
+from .permute import TestResult, permutation_test
 from .simgen import (
     BASIS_WEIGHTS,
     SCENARIO_IDS,

@@ -29,12 +29,19 @@ from .curves import (
     read_curves_csv,
 )
 from .permute import permutation_test
-from .simgen import Scenario, ScenarioParams, build_scenario, generate_pair
+from .simgen import MIXTURE_IDS, Scenario, ScenarioParams, build_scenario, generate_pair, mixture_rate
 from .statistic import PhiKind
 
 LEDGER_COLUMNS = (
     "scenario", "param", "value", "phi", "reps", "rejections", "rate", "stderr", "seed",
 )
+
+
+def _check_reps_alpha(reps: int, alpha: float) -> None:
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True)
@@ -59,12 +66,9 @@ class ScenarioConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
+        _check_reps_alpha(self.reps, self.alpha)
         if self.B < 1:
             raise ValueError("B must be at least 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
         if self.n < 1 or self.m < 1:
             raise ValueError("both group sizes must be at least 1")
         if self.d < 1:
@@ -72,6 +76,8 @@ class ScenarioConfig:
         for name in ("r", "sigma", "delta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.scenario.lower() in MIXTURE_IDS:
+            mixture_rate(self.delta, self.m)  # so a sweep fails before its first point runs
         if self.workers < 0:
             raise ValueError("workers must be at least 0 (0 uses every core)")
         # a phi named twice would run its test twice per replication
@@ -121,12 +127,12 @@ def run_single_replication(config: ScenarioConfig, rep_index: int) -> dict:
     """
     rep_seed = derive_seed(config.seed, rep_index)
     sample = generate_pair(config.scenario_obj(), config.n, config.m, derive_seed(rep_seed, 0))
-    perm_seed = derive_seed(rep_seed, 1)
-    out = {}
-    for phi in config.phis:
-        result = permutation_test(sample, phi, B=config.B, seed=perm_seed)
-        out[phi] = result.p_value <= config.alpha
-    return out
+    return _decisions(sample, config.phis, config.B, config.alpha, derive_seed(rep_seed, 1))
+
+
+def _decisions(sample: FunctionalSample, phis: tuple, B: int, alpha: float, seed: int) -> dict:
+    """Per phi, whether the permutation test rejects at level alpha (p <= alpha)."""
+    return {phi: permutation_test(sample, phi, B=B, seed=seed).p_value <= alpha for phi in phis}
 
 
 def _limit_worker_blas():
@@ -149,8 +155,35 @@ def _warn_uncapped_blas():
             "threadpoolctl is not installed, so each worker may start one BLAS thread per core; "
             "export OPENBLAS_NUM_THREADS=1 to cap them",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
+
+
+def _study(replicate, reps: int, phis: tuple, workers: int, progress) -> dict:
+    """Sum the decisions of replications 0..reps-1 into a PowerEstimate per phi.
+
+    `replicate` maps an index to {phi: rejected}.  With more than one worker
+    (0 means one per core) it runs in a process pool, so it must pickle.
+    """
+    workers = workers or (os.cpu_count() or 1)
+    rejections = dict.fromkeys(phis, 0)
+    with contextlib.ExitStack() as stack:
+        if workers > 1 and reps > 1:
+            from concurrent.futures import ProcessPoolExecutor  # spares serial runs its import
+
+            _warn_uncapped_blas()
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers, initializer=_limit_worker_blas)
+            )
+            decisions = pool.map(replicate, range(reps), chunksize=max(1, reps // (workers * 8)))
+        else:
+            decisions = map(replicate, range(reps))
+        for done, decided in enumerate(decisions, start=1):
+            for phi, rejected in decided.items():
+                rejections[phi] += int(rejected)
+            if progress:
+                progress(done)
+    return {phi: PowerEstimate(phi, rejections[phi], reps) for phi in phis}
 
 
 def run_power(config: ScenarioConfig, progress=None) -> dict:
@@ -165,27 +198,8 @@ def run_power(config: ScenarioConfig, progress=None) -> dict:
         replications, so results do not depend on worker count.  A worker
         pool whose BLAS threads nothing caps first issues a RuntimeWarning.
     """
-    workers = config.workers or (os.cpu_count() or 1)
     replicate = functools.partial(run_single_replication, config)
-    indices = range(config.reps)
-    rejections = {phi: 0 for phi in config.phis}
-    with contextlib.ExitStack() as stack:
-        if workers > 1 and config.reps > 1:
-            from concurrent.futures import ProcessPoolExecutor  # spares serial runs its import
-
-            _warn_uncapped_blas()
-            pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=workers, initializer=_limit_worker_blas)
-            )
-            decisions = pool.map(replicate, indices, chunksize=max(1, config.reps // (workers * 8)))
-        else:
-            decisions = map(replicate, indices)
-        for done, decided in enumerate(decisions, start=1):
-            for phi, rejected in decided.items():
-                rejections[phi] += int(rejected)
-            if progress:
-                progress(done)
-    return {phi: PowerEstimate(phi, rejections[phi], config.reps) for phi in config.phis}
+    return _study(replicate, config.reps, config.phis, config.workers, progress)
 
 
 def run_sweep(base: ScenarioConfig, parameter: str, values, progress=None) -> list[dict]:
@@ -245,6 +259,15 @@ def append_ledger(path, rows: list[dict]) -> None:
             writer.writerow(row)
 
 
+def _subsample_replication(sample, n_sub, m_sub, phis, B, alpha, seed, index) -> dict:
+    """Replication `index` of run_subsample_power: a stratified subsample and its decisions."""
+    rng = substream(derive_seed(seed, index))
+    keep_x = rng.choice(np.flatnonzero(sample.labels == 0), size=n_sub, replace=False)
+    keep_y = rng.choice(np.flatnonzero(sample.labels == 1), size=m_sub, replace=False)
+    sub = make_sample(sample.values[keep_x], sample.values[keep_y], sample.kind, sample.grid)
+    return _decisions(sub, phis, B, alpha, derive_seed(seed, 10_000_000 + index))
+
+
 def run_subsample_power(
     sample: FunctionalSample,
     pooled_size: int,
@@ -258,28 +281,20 @@ def run_subsample_power(
 
     Each replication draws, without replacement, a subsample of the given
     pooled size whose group split preserves the original proportions, then
-    runs the permutation test on it.
+    runs the permutation test on it.  Raises ValueError for reps < 1, alpha
+    outside (0, 1), pooled_size < 2, or a group too small for its share.
     """
-    n_total, m_total = sample.n, sample.m
-    N = n_total + m_total
-    n_sub = int(round(pooled_size * n_total / N))
+    _check_reps_alpha(reps, alpha)
+    if pooled_size < 2:
+        raise ValueError("pooled_size must be at least 2")
+    phis = (PhiKind(kind),)
+    n_sub = round(pooled_size * sample.n / (sample.n + sample.m))
     n_sub = min(max(n_sub, 1), pooled_size - 1)
     m_sub = pooled_size - n_sub
-    if n_sub > n_total or m_sub > m_total:
+    if n_sub > sample.n or m_sub > sample.m:
         raise ValueError("pooled_size too large for the available groups")
-    x_idx = np.flatnonzero(sample.labels == 0)
-    y_idx = np.flatnonzero(sample.labels == 1)
-    rejections = 0
-    for i in range(reps):
-        rng = substream(derive_seed(seed, i))
-        keep_x = rng.choice(x_idx, size=n_sub, replace=False)
-        keep_y = rng.choice(y_idx, size=m_sub, replace=False)
-        sub = make_sample(
-            sample.values[keep_x], sample.values[keep_y], sample.kind, sample.grid
-        )
-        result = permutation_test(sub, kind, B=B, seed=derive_seed(seed, 10_000_000 + i))
-        rejections += int(result.p_value <= alpha)
-    return PowerEstimate(PhiKind(kind), rejections, reps)
+    replicate = functools.partial(_subsample_replication, sample, n_sub, m_sub, phis, B, alpha, seed)
+    return _study(replicate, reps, phis, 1, None)[phis[0]]
 
 
 def ingest_pair(

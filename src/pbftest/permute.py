@@ -1,23 +1,17 @@
 """Permutation calibration of the test.
 
 The Gram matrix is computed once; each relabeling of the pooled sample is
-evaluated from it directly.  Small problems can be calibrated by full
-enumeration of the distinct group assignments, everything else by B random
-permutations and the randomized p-value (1 + #{permuted >= observed})/(B+1).
+evaluated from it directly.  The test is calibrated by B random permutations
+and the randomized p-value (1 + #{permuted >= observed})/(B+1).
 """
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import substream
-from .curves import FunctionalSample, GramMatrix, NumericalError, gram
+from .curves import FunctionalSample, NumericalError, gram
 from .statistic import PhiKind, StatisticValue, batch_statistics
-
-RANDOMIZED = "randomized"
-EXHAUSTIVE = "exhaustive"
 
 # Relative slack when comparing permuted to observed values: relabelings that
 # reproduce the observed statistic in exact arithmetic must count as ties
@@ -33,7 +27,6 @@ class TestResult:
     scaled: float
     p_value: float
     b_used: int
-    mode: str
     phi: PhiKind
     n: int
     m: int
@@ -47,7 +40,7 @@ class TestResult:
             "scaled": self.scaled,
             "p_value": self.p_value,
             "B": self.b_used,
-            "mode": self.mode,
+            "mode": "randomized",  # the one calibration; kept for readers of the wire format
             "phi": self.phi.value,
             "n": self.n,
             "m": self.m,
@@ -58,66 +51,15 @@ class TestResult:
         return out
 
 
-def _tie_threshold(observed: float) -> float:
-    return observed - _TIE_RTOL * max(1.0, abs(observed))
-
-
-def _relabelings(N: int, n: int, B: int, seed: int, budget: int) -> tuple[np.ndarray, str]:
-    """First-group flags of the relabelings to evaluate, and the mode.
-
-    All C(N, n) distinct assignments as 0/1 rows when that count is within a
-    positive `budget`; otherwise B random relabelings, where replicate i
-    uses the seed-xor-i substream.
-    """
-    if budget > 0 and math.comb(N, n) <= budget:
-        firsts, mode = np.array(list(itertools.combinations(range(N), n))), EXHAUSTIVE
-    else:
-        perms = np.tile(np.arange(N), (B, 1))  # permutation(N) is arange(N), shuffled
-        for i, row in enumerate(perms, start=1):
-            substream(seed, i).shuffle(row)
-        firsts, mode = perms[:, :n], RANDOMIZED
-    amat = np.zeros((len(firsts), N))
-    np.put_along_axis(amat, firsts, 1.0, axis=1)
-    return amat, mode
-
-
-def _finite_statistics(G: GramMatrix, amat: np.ndarray, kind: PhiKind) -> np.ndarray:
-    """Statistic of each relabeling row of `amat`; NumericalError if any is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        stats = batch_statistics(G.entries, amat, G.n, G.m, kind)
-    if not np.all(np.isfinite(stats)):
-        raise NumericalError("statistic is not finite (projection gaps overflow)")
-    return stats
-
-
-def critical_value(
-    G: GramMatrix,
-    kind: PhiKind,
-    alpha: float,
-    budget: int = 20000,
-    B: int = 2000,
-    seed: int = 0,
-) -> float:
-    """Permutation critical value: the smallest t whose permutation CDF
-    reaches 1 - alpha.
-
-    All C(N, n) distinct assignments are enumerated when within `budget`
-    (the statistic depends on a permutation only through the induced
-    partition); otherwise the value is estimated from B random permutations.
-
-    Raises:
-        ValueError: when alpha is not in (0, 1) or B is below 1.
-        NumericalError: when any permuted statistic is not finite.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    if B < 1:
-        raise ValueError("B must be at least 1")
-    amat, _ = _relabelings(G.size, G.n, B, seed, budget)
-    stats = np.sort(_finite_statistics(G, amat, kind))
-    k = math.ceil(stats.size * (1.0 - alpha) - 1e-12)
-    k = min(max(k, 1), stats.size)
-    return float(stats[k - 1])
+def _relabelings(N: int, n: int, B: int, seed: int) -> np.ndarray:
+    """First-group flags of B random relabelings as a (B, N) 0/1 matrix;
+    replicate i uses the seed-xor-i substream."""
+    perms = np.tile(np.arange(N), (B, 1))  # permutation(N) is arange(N), shuffled
+    for i, row in enumerate(perms, start=1):
+        substream(seed, i).shuffle(row)
+    amat = np.zeros((B, N))
+    np.put_along_axis(amat, perms[:, :n], 1.0, axis=1)
+    return amat
 
 
 def permutation_test(
@@ -126,7 +68,6 @@ def permutation_test(
     B: int = 500,
     seed: int = 0,
     keep_replicates: bool = False,
-    exhaustive_budget: int = 0,
 ) -> TestResult:
     """Run the permutation-calibrated two-sample test.
 
@@ -141,8 +82,6 @@ def permutation_test(
         B: Number of random permutations (>= 1).
         seed: Stream seed; identical inputs reproduce the result bit-for-bit.
         keep_replicates: Retain the permuted statistic values on the result.
-        exhaustive_budget: When positive and C(N, n) is within it, enumerate
-            every distinct assignment instead of sampling.
 
     Returns:
         TestResult with the observed statistic, scaled statistic and p-value.
@@ -156,22 +95,21 @@ def permutation_test(
     G = gram(sample)
     n, m, N = G.n, G.m, G.size
     observed_row = (sample.labels == 0).astype(float)[None, :]
-    amat, mode = _relabelings(N, n, B, seed, exhaustive_budget)
-    stats = _finite_statistics(G, np.vstack([observed_row, amat]), kind)
+    amat = np.vstack([observed_row, _relabelings(N, n, B, seed)])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        stats = batch_statistics(G.entries, amat, n, m, kind)
+    if not np.all(np.isfinite(stats)):
+        raise NumericalError("statistic is not finite (projection gaps overflow)")
     zeta, replicates = float(stats[0]), stats[1:]
-    exceed = int(np.sum(replicates >= _tie_threshold(zeta)))
-    if mode == EXHAUSTIVE:
-        p_value = exceed / replicates.size
-    else:
-        p_value = (exceed + 1) / (B + 1)
+    ties_from = zeta - _TIE_RTOL * max(1.0, abs(zeta))
+    p_value = (int(np.sum(replicates >= ties_from)) + 1) / (B + 1)
 
     value = StatisticValue(zeta, n, m)
     return TestResult(
         zeta_hat=value.zeta_hat,
         scaled=value.scaled,
         p_value=p_value,
-        b_used=replicates.size,
-        mode=mode,
+        b_used=B,
         phi=kind,
         n=n,
         m=m,

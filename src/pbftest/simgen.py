@@ -113,6 +113,14 @@ def gen_sincos(
     return values
 
 
+def mixture_rate(delta: float, count: int) -> float:
+    """Contaminant probability delta / sqrt(count); ValueError outside [0, 1]."""
+    rate = delta / math.sqrt(count)
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"mixture rate delta/sqrt(count) = {rate:.4g} outside [0, 1]")
+    return rate
+
+
 def gen_mixture(count: int, base_fn, contaminant_fn, delta: float, seed: int) -> np.ndarray:
     """Contiguous mixture: each curve is a contaminant draw with probability
     delta / sqrt(count), otherwise a base draw.
@@ -120,9 +128,7 @@ def gen_mixture(count: int, base_fn, contaminant_fn, delta: float, seed: int) ->
     `base_fn` and `contaminant_fn` map (count, seed) to value arrays of the
     same shape.
     """
-    rate = delta / math.sqrt(count)
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"mixture rate delta/sqrt(count) = {rate:.4g} outside [0, 1]")
+    rate = mixture_rate(delta, count)
     base = base_fn(count, derive_seed(seed, 1))
     contaminant = contaminant_fn(count, derive_seed(seed, 2))
     if base.shape != contaminant.shape:
@@ -214,6 +220,9 @@ def build_scenario(
     def sincos(side, dist):
         return lambda count, seed: gen_sincos(count, params.d, side, dist, seed, normalized_cos)
 
+    def mixture(base, contaminant):
+        return lambda count, seed: gen_mixture(count, base, contaminant, params.delta, seed)
+
     def on_grid(scenario: Scenario) -> Scenario:
         if not sampled_on_grid or scenario.kind == GRID:
             return scenario
@@ -261,21 +270,13 @@ def build_scenario(
         ))
     if sid == "ex7":
         base = sincos(SIN_SIDE, ("normal", 0.0, math.sqrt(2.0)))
-        contaminant = sincos(COS_SIDE, ("normal", 0.0, math.sqrt(2.0)))
-
-        def mixture(count, seed):
-            return gen_mixture(count, base, contaminant, params.delta, seed)
-
-        return on_grid(Scenario(sid, COEFF, base, mixture, None, "contiguous mixture of sine and cosine groups"))
+        mixed = mixture(base, sincos(COS_SIDE, ("normal", 0.0, math.sqrt(2.0))))
+        return on_grid(Scenario(sid, COEFF, base, mixed, None, "contiguous mixture of sine and cosine groups"))
     if sid in ("ex8", "ex9"):
         base = basis(_STD_NORMAL)
         cont_dist = ("normal", 1.0, 1.0) if sid == "ex8" else ("normal", 0.0, math.sqrt(2.0))
-        contaminant = basis(cont_dist)
-
-        def mixture(count, seed):
-            return gen_mixture(count, base, contaminant, params.delta, seed)
-
-        return on_grid(Scenario(sid, COEFF, base, mixture, None, "contiguous mixture of basis families"))
+        mixed = mixture(base, basis(cont_dist))
+        return on_grid(Scenario(sid, COEFF, base, mixed, None, "contiguous mixture of basis families"))
     raise ValueError(f"unknown scenario {scenario_id!r}")
 
 
@@ -290,3 +291,5 @@ SCENARIO_IDS = (
     "ex1", "ex2", "ex3", "ex4i", "ex4ii", "ex5i", "ex5ii",
     "ex6i", "ex6ii", "ex7", "ex8", "ex9",
 )
+# their second group is a contiguous mixture, drawn by gen_mixture
+MIXTURE_IDS = ("ex7", "ex8", "ex9")

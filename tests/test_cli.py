@@ -559,6 +559,27 @@ def test_nonfinite_scenario_parameter_exits_before_running(tmp_path, capsys):
         assert not ledger.exists()
 
 
+def test_mixture_rate_out_of_range_exits_before_running(tmp_path, capsys):
+    # delta/sqrt(m) outside [0, 1] at any sweep point fails when the points are
+    # built, flag or file alike: exit 1, no replication run, no ledger
+    cfg, ledger = tmp_path / "run.cfg", tmp_path / "ledger.csv"
+    study = ("--n", "8", "--m", "8", "--b", "20", "--reps", "40", "--seed", "1", "--out", str(ledger))
+    cases = [
+        (["sweep", "--scenario", "ex8", *study, "--param", "delta", "--values", "1,10"], None),
+        (["sweep", "--scenario", "ex8", "--delta", "2", *study, "--param", "m", "--values", "8,3"], None),
+        (["sweep", "--config", str(cfg), *study, "--param", "delta", "--values", "2,4"], "scenario=ex7\n"),
+        (["sweep", "--config", str(cfg), *study, "--param", "m", "--values", "16,4"],
+         "scenario=ex9\ndelta=2.5\n"),
+    ]
+    for argv, text in cases:
+        if text is not None:
+            cfg.write_text(text)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert "error: mixture rate delta/sqrt(count)" in err and "replication" not in err
+        assert not ledger.exists()
+
+
 def test_parser_is_built_once_and_reused(tmp_path, capsys):
     assert build_parser() is build_parser()
     x, y = tmp_path / "x.csv", tmp_path / "y.csv"

@@ -23,7 +23,8 @@ from pbftest import (
     run_subsample_power,
     run_sweep,
 )
-from pbftest import harness
+from pbftest import harness, permutation_test
+from pbftest._rng import derive_seed, substream
 from pbftest.harness import LEDGER_COLUMNS, power_rows
 
 
@@ -194,7 +195,7 @@ def test_config_file_round_trip(tmp_path):
             read_config_file(bad_value)
 
 
-def test_subsample_power_stratified(rng):
+def test_subsample_power_stratified(rng, monkeypatch):
     x = rng.standard_normal((30, 4))
     y = rng.standard_normal((20, 4)) + 4.0  # strongly separated groups
     sample = make_sample(x, y, "coeff")
@@ -205,6 +206,45 @@ def test_subsample_power_stratified(rng):
     assert est.rejection_rate == 1.0  # separation this large always rejects
     with pytest.raises(ValueError):
         run_subsample_power(sample, pooled_size=80, reps=2, kind=PhiKind.L2)
+    # bad arguments fail before any subsample is drawn
+    draws = []
+    monkeypatch.setattr(harness, "substream", lambda *args: draws.append(args))
+    for bad, message in (
+        (dict(reps=0), "reps must be at least 1"),
+        (dict(alpha=1.5), "alpha must lie strictly between 0 and 1"),
+        (dict(alpha=0.0), "alpha must lie strictly between 0 and 1"),
+        (dict(pooled_size=1), "pooled_size must be at least 2"),
+        (dict(pooled_size=0), "pooled_size must be at least 2"),
+    ):
+        args = dict(pooled_size=20, reps=2, kind=PhiKind.L2, alpha=0.05) | bad
+        with pytest.raises(ValueError, match=message):
+            run_subsample_power(sample, **args)
+    assert draws == []
+
+
+def test_subsample_power_matches_hand_loop(rng):
+    # pins the seeds: subsample i is drawn from substream(derive_seed(seed, i))
+    # and tested with seed derive_seed(seed, 10_000_000 + i)
+    x = rng.standard_normal((30, 4))
+    y = rng.standard_normal((20, 4))
+    counts = []
+    for shift in (0.0, 0.6, 1.2):
+        sample = make_sample(x, y + shift, "coeff")
+        x_idx, y_idx = np.flatnonzero(sample.labels == 0), np.flatnonzero(sample.labels == 1)
+        for kind in PhiKind:
+            hand = 0
+            for i in range(30):
+                draw = substream(derive_seed(7, i))
+                keep_x = draw.choice(x_idx, size=12, replace=False)  # 20 split 30:20
+                keep_y = draw.choice(y_idx, size=8, replace=False)
+                sub = make_sample(sample.values[keep_x], sample.values[keep_y], "coeff")
+                result = permutation_test(sub, kind, B=49, seed=derive_seed(7, 10_000_000 + i))
+                hand += result.p_value <= 0.1
+            est = run_subsample_power(sample, pooled_size=20, reps=30, kind=kind,
+                                      B=49, alpha=0.1, seed=7)
+            assert est.rejections == hand
+            counts.append(hand)
+    assert len(set(counts)) > 3, counts  # the cells discriminate
 
 
 def test_null_sweep_levels_match_reported_values():

@@ -1,6 +1,3 @@
-import itertools
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pbftest import (
-    GramMatrix,
     NumericalError,
     PhiKind,
-    critical_value,
     gram,
     gram_call_count,
-    gram_entries,
     make_sample,
     pbf_statistic_oracle,
     permutation_test,
@@ -24,7 +18,7 @@ from pbftest import (
 from pbftest import permute
 from pbftest._rng import MASK64, substream
 from pbftest.harness import run_single_replication
-from pbftest.permute import EXHAUSTIVE, RANDOMIZED, _relabelings
+from pbftest.permute import _relabelings
 
 
 def _null_sample(rng, n=6, m=6, dim=4):
@@ -32,25 +26,10 @@ def _null_sample(rng, n=6, m=6, dim=4):
     return make_sample(values[:n], values[n:], "coeff")
 
 
-def test_full_group_swap_is_symmetric(rng):
-    # enumeration draws every partition, so swapping the groups permutes the
-    # replicate multiset and leaves zeta and p as they were
-    values = rng.standard_normal((10, 4))
-    budget = math.comb(10, 5)
-    for n in (4, 5):
-        x, y = values[:n], values[n:]
-        for kind in PhiKind:
-            a = permutation_test(make_sample(x, y, "coeff"), kind, exhaustive_budget=budget)
-            b = permutation_test(make_sample(y, x, "coeff"), kind, exhaustive_budget=budget)
-            assert a.mode == b.mode == EXHAUSTIVE
-            assert abs(b.zeta_hat - a.zeta_hat) <= 1e-12
-            assert b.p_value == a.p_value
-
-
 def test_permuted_statistic_matches_oracle_on_relabeled_sample(rng):
     sample = _null_sample(rng, 5, 7)
     G = gram(sample)
-    amat, _ = _relabelings(12, 5, 40, 8, budget=0)
+    amat = _relabelings(12, 5, 40, 8)
     for kind in PhiKind:
         result = permutation_test(sample, kind, B=40, seed=8, keep_replicates=True)
         for flags, fast in zip(amat, result.replicate_stats):
@@ -58,58 +37,16 @@ def test_permuted_statistic_matches_oracle_on_relabeled_sample(rng):
             assert abs(fast - oracle) <= 1e-10 * (1.0 + abs(oracle))
 
 
-def test_critical_value_identical_curves_is_zero():
-    values = np.ones((6, 3))
-    G = GramMatrix(gram_entries(values, "coeff"), 3, 3)
-    for alpha in (0.01, 0.05, 0.5, 0.99):
-        assert critical_value(G, PhiKind.L2, alpha) == 0.0
-
-
-def test_critical_value_small_sample_enumeration(rng):
-    values = rng.standard_normal((6, 3))
-    G = GramMatrix(gram_entries(values, "coeff"), 3, 3)
-    # independent enumeration of all C(6,3) = 20 assignments
-    stats = []
-    for combo in itertools.combinations(range(6), 3):
-        relabel = np.ones(6, np.int8)
-        relabel[list(combo)] = 0
-        stats.append(pbf_statistic_oracle(G, relabel, PhiKind.L2))
-    stats = np.sort(stats)
-    # at alpha = 0.05 the 19th order statistic is required, and swap symmetry
-    # pairs every assignment with its complement, so it ties with the max
-    got = critical_value(G, PhiKind.L2, 0.05)
-    assert got == pytest.approx(stats[18], abs=1e-12)
-    assert got == pytest.approx(stats.max(), abs=1e-12)
-    # alpha -> 1 gives the minimum permuted statistic
-    assert critical_value(G, PhiKind.L2, 0.999) == pytest.approx(stats[0], abs=1e-12)
-
-
-def test_critical_value_invalid_alpha(rng):
-    sample = _null_sample(rng, 3, 3)
-    G = gram(sample)
-    for alpha in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(ValueError):
-            critical_value(G, PhiKind.L2, alpha)
-
-
-def test_critical_value_rejects_b_below_one(rng):
-    G = gram(_null_sample(rng, 3, 3))
-    for B in (0, -3):
-        with pytest.raises(ValueError, match="B must be at least 1"):
-            critical_value(G, PhiKind.L2, 0.05, budget=0, B=B)
-
-
 @pytest.mark.parametrize("n, m", [(20, 20), (3, 5), (1, 7), (6, 1)])
 @pytest.mark.parametrize("seed", [0, 99, -7, 2**64 + 5])
 def test_relabelings_match_per_row_construction(n, m, seed):
     N = n + m
     for B in (60, 1):
-        amat, mode = _relabelings(N, n, B, seed, budget=0)
+        amat = _relabelings(N, n, B, seed)
         expected = np.zeros((B, N))
         for i in range(1, B + 1):
             rng = np.random.Generator(np.random.Philox(key=(seed ^ i) & MASK64))
             expected[i - 1, rng.permutation(N)[:n]] = 1.0
-        assert mode == RANDOMIZED
         assert np.array_equal(amat, expected)
 
 
@@ -131,17 +68,6 @@ def test_one_substream_per_relabeling(rng, monkeypatch):
     assert len(calls) == 3 * 23
 
 
-@pytest.mark.parametrize("n, m", [(3, 5), (4, 4), (1, 6)])
-def test_exhaustive_relabelings_follow_combination_order(n, m):
-    N = n + m
-    amat, mode = _relabelings(N, n, 10, 1, budget=math.comb(N, n))
-    assert mode == EXHAUSTIVE
-    assert amat.shape == (math.comb(N, n), N)
-    assert set(np.unique(amat)) == {0.0, 1.0}
-    combos = list(itertools.combinations(range(N), n))
-    assert [tuple(np.flatnonzero(row)) for row in amat] == combos
-
-
 @st.composite
 def small_samples(draw):
     n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
@@ -155,21 +81,14 @@ def small_samples(draw):
     st.sampled_from(list(PhiKind)),
     st.integers(1, 40),
     st.integers(-(2**64), 2**64),
-    st.booleans(),
 )
-def test_pvalue_range_property(sample, kind, B, seed, exhaustive):
-    N, n = sample.labels.size, sample.n
-    budget = math.comb(N, n) if exhaustive else 0
-    result = permutation_test(sample, kind, B=B, seed=seed, exhaustive_budget=budget)
+def test_pvalue_range_property(sample, kind, B, seed):
+    result = permutation_test(sample, kind, B=B, seed=seed)
     assert 0.0 < result.p_value <= 1.0
-    if exhaustive:
-        assert result.mode == EXHAUSTIVE
-        assert result.b_used == math.comb(N, n)
-    else:
-        assert result.mode == RANDOMIZED
-        count = round(result.p_value * (B + 1))
-        assert 1 <= count <= B + 1
-        assert result.p_value == count / (B + 1)
+    assert result.b_used == B
+    count = round(result.p_value * (B + 1))
+    assert 1 <= count <= B + 1
+    assert result.p_value == count / (B + 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -284,23 +203,6 @@ def test_gram_computed_exactly_once(rng):
     assert gram_call_count() - before == 1
 
 
-def test_exhaustive_mode(rng):
-    sample = _null_sample(rng, 3, 3)
-    result = permutation_test(sample, PhiKind.L2, B=10, seed=5, exhaustive_budget=50)
-    assert result.mode == "exhaustive"
-    assert result.b_used == math.comb(6, 3)
-    # p-value is the fraction of all distinct assignments at or above observed
-    G = gram(sample)
-    stats = []
-    for combo in itertools.combinations(range(6), 3):
-        relabel = np.ones(6, np.int8)
-        relabel[list(combo)] = 0
-        stats.append(pbf_statistic_oracle(G, relabel, PhiKind.L2))
-    expected = np.mean(np.asarray(stats) >= result.zeta_hat - 1e-12)
-    assert result.p_value == pytest.approx(expected, abs=1e-12)
-    assert result.p_value >= 1.0 / math.comb(6, 3)
-
-
 def test_result_json_shape(rng):
     sample = _null_sample(rng, 4, 5)
     result = permutation_test(sample, PhiKind.EXP, B=19, seed=2, keep_replicates=True)
@@ -308,7 +210,7 @@ def test_result_json_shape(rng):
     assert set(payload) == {
         "zeta_hat", "scaled", "p_value", "B", "mode", "phi", "n", "m", "seed", "replicates",
     }
-    assert payload["phi"] == "exp"
+    assert payload["phi"] == "exp" and payload["mode"] == "randomized"
     assert payload["B"] == 19
     assert len(payload["replicates"]) == 19
     bare = permutation_test(sample, PhiKind.EXP, B=19, seed=2).to_json_dict()
@@ -339,7 +241,5 @@ def test_nonfinite_statistic_raises(rng):
     sample = make_sample(values[:10], values[10:], "coeff")
     with pytest.raises(NumericalError):
         permutation_test(sample, PhiKind.LOG, B=19, seed=1)
-    with pytest.raises(NumericalError):
-        critical_value(gram(sample), PhiKind.LOG, 0.05, budget=0, B=19, seed=1)
     result = permutation_test(sample, PhiKind.L2, B=19, seed=1)
     assert np.isfinite(result.zeta_hat) and 0.0 < result.p_value <= 1.0

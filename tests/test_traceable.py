@@ -1,0 +1,38 @@
+"""The benchmark's traced run reads work on every layer it reports.
+
+`perfbench/layers.py` wraps package functions by name in their callers'
+modules.  A wrapped name that stays importable there but is no longer called
+reads 0, and a traced benchmark run then reports that zero as a measurement.
+This runs a small sweep, `pbftest test` on files with a missing cell and
+`pbftest spectrum` under the benchmark's tracer, and requires every metric it
+reports to be finite and above 0.  perfbench itself is imported, not edited.
+"""
+
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import layers  # noqa: E402  (perfbench module, found through the path above)
+from pbftest import PhiKind, ScenarioConfig, cli, run_sweep  # noqa: E402
+
+
+def test_every_traced_metric_is_positive(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    np.savetxt(x, rng.standard_normal((8, 6)), delimiter=",")
+    np.savetxt(y, rng.standard_normal((8, 6)) + 0.5, delimiter=",")
+    with open(y, "a") as fh:
+        fh.write("1,NA,2,3,4,5\n")  # one dropped row
+    config = ScenarioConfig(scenario="ex4i", n=6, m=6, B=9, reps=2, phis=tuple(PhiKind), seed=1)
+    with layers.install() as tracer:
+        run_sweep(config, "r", [0.5])
+        assert cli.main(["test", str(x), str(y), "--b", "9", "--seed", "1"]) == 0
+        assert cli.main(["spectrum", "--input", str(x), "--draws", "50", "--seed", "1"]) == 0
+    reported = layers.metrics(tracer, 1)
+    assert reported
+    not_positive = {name: v for name, (v, _) in reported.items() if not (math.isfinite(v) and v > 0)}
+    assert not not_positive, not_positive
