@@ -11,7 +11,6 @@ from .curves import (
     GRID,
     DataError,
     FunctionalSample,
-    GramMatrix,
     GridSpec,
     NumericalError,
     equispaced_grid,

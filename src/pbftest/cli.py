@@ -261,6 +261,8 @@ def cmd_spectrum(args) -> int:
     if args.draws < 1:
         raise UsageError("--draws must be at least 1")
     quantiles = _float_list(args.quantiles)
+    if not quantiles:
+        raise UsageError("--quantiles needs at least one number")
     if any(not 0.0 < q < 1.0 for q in quantiles):
         raise UsageError("quantiles must lie strictly between 0 and 1")
     seed = _effective_seed(args.seed)

@@ -2,8 +2,8 @@
 
 Curves are either sampled on a shared grid (inner products by quadrature
 over [a, b]) or given by coefficients in a shared orthonormal basis (inner
-products are exact dot products).  The Gram matrix of the pooled sample is
-the only input the test statistic ever needs.
+products are exact dot products).  The Gram matrix of the pooled sample and
+the group labels are all the test statistic needs.
 """
 
 import csv
@@ -98,15 +98,12 @@ class FunctionalSample:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        labs = np.asarray(self.labels, dtype=np.int8)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "labels", labs)
         if vals.ndim != 2:
             raise ValueError("sample values must be a 2-d array (curves in rows)")
-        if labs.shape != (vals.shape[0],):
+        labs, n, m = _group_sizes(self.labels)
+        if labs.size != vals.shape[0]:
             raise ValueError("labels must have one entry per curve")
-        if not np.all((labs == 0) | (labs == 1)):
-            raise ValueError("labels must be 0 (first group) or 1 (second group)")
         if not np.all(np.isfinite(vals)):
             raise ValueError("curve values must be finite (no NaN/Inf)")
         if self.kind not in (GRID, COEFF):
@@ -116,10 +113,7 @@ class FunctionalSample:
                 raise ValueError("grid representation requires a GridSpec")
             if self.grid.points.size != vals.shape[1]:
                 raise ValueError("grid length does not match curve length")
-        n = int(np.sum(labs == 0))
-        m = int(np.sum(labs == 1))
-        if n < 1 or m < 1:
-            raise ValueError("both groups must be non-empty")
+        object.__setattr__(self, "labels", np.asarray(labs, dtype=np.int8))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
 
@@ -128,27 +122,26 @@ class FunctionalSample:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """All pairwise inner products of the pooled sample, plus group sizes."""
+def _group_sizes(labels) -> tuple[np.ndarray, int, int]:
+    """(labels, n, m) for a 1-d 0/1 labeling with both groups non-empty; raises otherwise."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValueError("labels must be one-dimensional")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("labels must be 0 (first group) or 1 (second group)")
+    n = int(np.sum(labels == 0))
+    m = labels.size - n
+    if n < 1 or m < 1:
+        raise ValueError("both groups must be non-empty")
+    return labels, n, m
 
-    entries: np.ndarray
-    n: int
-    m: int
 
-    def __post_init__(self):
-        ent = np.ascontiguousarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", ent)
-        if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
-            raise ValueError("Gram matrix must be square")
-        if self.n + self.m != ent.shape[0]:
-            raise ValueError("group sizes must sum to the matrix dimension")
-        if self.n < 1 or self.m < 1:
-            raise ValueError("both groups must be non-empty")
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
+def _as_gram(G) -> np.ndarray:
+    """A Gram matrix passed in from outside, as a contiguous float array; raises unless square."""
+    entries = np.ascontiguousarray(G, dtype=float)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValueError("Gram matrix must be square")
+    return entries
 
 
 def make_sample(x_values, y_values, kind: str = GRID, grid: GridSpec | None = None) -> FunctionalSample:
@@ -185,12 +178,11 @@ def gram_entries(values: np.ndarray, kind: str = GRID, grid: GridSpec | None = N
     return upper + np.triu(g, 1).T
 
 
-def gram(sample: FunctionalSample) -> GramMatrix:
-    """Gram matrix of the pooled sample; the statistic's sole input."""
+def gram(sample: FunctionalSample) -> np.ndarray:
+    """N x N Gram matrix of the pooled sample: with the labels, all the statistic needs."""
     global _gram_calls
     _gram_calls += 1
-    entries = gram_entries(sample.values, sample.kind, sample.grid)
-    return GramMatrix(entries, sample.n, sample.m)
+    return gram_entries(sample.values, sample.kind, sample.grid)
 
 
 _MISSING_TOKENS = {"", "na", "nan"}

@@ -88,6 +88,7 @@ class ScenarioConfig:
     def params(self) -> ScenarioParams:
         return ScenarioParams(r=self.r, sigma=self.sigma, d=self.d, delta=self.delta)
 
+    @functools.lru_cache(maxsize=8)  # once per study and process, not per replication
     def scenario_obj(self) -> Scenario:
         return build_scenario(
             self.scenario,

@@ -92,12 +92,12 @@ def permutation_test(
     kind = PhiKind(kind)
     if B < 1:
         raise ValueError("B must be at least 1")
-    G = gram(sample)
-    n, m, N = G.n, G.m, G.size
+    entries = gram(sample)
+    n, m, N = sample.n, sample.m, sample.size
     observed_row = (sample.labels == 0).astype(float)[None, :]
     amat = np.vstack([observed_row, _relabelings(N, n, B, seed)])
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        stats = batch_statistics(G.entries, amat, n, m, kind)
+        stats = batch_statistics(entries, amat, n, m, kind)
     if not np.all(np.isfinite(stats)):
         raise NumericalError("statistic is not finite (projection gaps overflow)")
     zeta, replicates = float(stats[0]), stats[1:]

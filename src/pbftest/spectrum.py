@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import substream
-from .curves import GramMatrix, NumericalError
+from .curves import NumericalError, _as_gram
 from .statistic import PhiKind, _pairs, _phi_sums
 
 _TRUNCATION_RATIO = 1e-12
@@ -57,16 +57,9 @@ def double_center(mat: np.ndarray) -> np.ndarray:
     return mat - row - col + mat.mean()
 
 
-def _gram_entries(G) -> np.ndarray:
-    entries = G.entries if isinstance(G, GramMatrix) else np.asarray(G, dtype=float)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError("Gram matrix must be square")
-    return np.ascontiguousarray(entries, dtype=float)
-
-
 def direction_averaged_distance(G, kind: PhiKind) -> np.ndarray:
     """Matrix of phi((p_a - p_b)^2) averaged over all pooled directions."""
-    entries = _gram_entries(G)
+    entries = _as_gram(G)
     kind = PhiKind(kind)
     N = entries.shape[0]
     dist = np.zeros((N, N))
@@ -117,13 +110,13 @@ def spectrum_estimate(G, kind: PhiKind) -> KernelSpectrum:
     """Estimate the limiting-law eigenvalues from a null Gram matrix.
 
     Args:
-        G: Gram matrix (or raw square array) of a single-distribution sample.
+        G: N x N Gram matrix of a single-distribution sample.
         kind: Distance transform.
 
     Returns:
         KernelSpectrum with nonincreasing eigenvalues.
     """
-    entries = _gram_entries(G)
+    entries = _as_gram(G)
     if entries.shape[0] < 3:
         raise ValueError("spectrum estimation needs at least 3 observations")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite h raises below

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .curves import GramMatrix
+from .curves import _as_gram, _group_sizes
 
 
 class PhiKind(str, enum.Enum):
@@ -55,19 +55,6 @@ def phi_eval(kind: PhiKind, z):
     return float(out) if np.isscalar(z) or arr.ndim == 0 else out
 
 
-def _group_sizes(labels) -> tuple[np.ndarray, int, int]:
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValueError("labels must be one-dimensional")
-    if not np.all((labels == 0) | (labels == 1)):
-        raise ValueError("labels must be 0 or 1")
-    n = int(np.sum(labels == 0))
-    m = labels.size - n
-    if n < 1 or m < 1:
-        raise ValueError("both groups must be non-empty")
-    return labels, n, m
-
-
 def bf_statistic_1d(projections, labels, kind: PhiKind) -> float:
     """One-dimensional energy statistic of the projected pooled sample.
 
@@ -99,35 +86,33 @@ class StatisticValue:
         return f"StatisticValue(zeta_hat={self.zeta_hat!r}, scaled={self.scaled!r})"
 
 
-def pbf_statistic(G: GramMatrix, labels, kind: PhiKind) -> StatisticValue:
-    """Evaluate the statistic from a Gram matrix and group labels.
+def pbf_statistic(G: np.ndarray, labels, kind: PhiKind) -> StatisticValue:
+    """Evaluate the statistic from an N x N Gram matrix and N group labels.
 
     Aggregates the per-direction 1-d energy statistics over the empirical
     mixture of the two groups; algebraically identical to the direct
     six-triple-sum form (see `pbf_statistic_oracle`) but runs in O(N^2) per
     direction.
     """
-    kind = PhiKind(kind)
     labels, n, m = _group_sizes(labels)
-    if labels.size != G.size:
-        raise ValueError("labels length does not match the Gram dimension")
     amat = (labels == 0).astype(float)[None, :]
-    zeta = batch_statistics(G.entries, amat, n, m, kind)[0]
+    zeta = batch_statistics(G, amat, n, m, kind)[0]  # checks G and the labels' length
     return StatisticValue(zeta, n, m)
 
 
-def pbf_statistic_oracle(G: GramMatrix, labels, kind: PhiKind) -> float:
+def pbf_statistic_oracle(G: np.ndarray, labels, kind: PhiKind) -> float:
     """Direct O(N^3) transcription of the estimator's six triple sums.
 
     Test-only reference implementation: plain scalar loops, independent of
     the vectorized evaluation path.
     """
     kind = PhiKind(kind)
+    entries = _as_gram(G)
     labels, n, m = _group_sizes(labels)
-    if labels.size != G.size:
+    if labels.size != entries.shape[0]:
         raise ValueError("labels length does not match the Gram dimension")
     phi = _PHI_SCALAR[kind]
-    g = G.entries.tolist()
+    g = entries.tolist()
     idx_a = [int(i) for i in np.flatnonzero(labels == 0)]
     idx_b = [int(i) for i in np.flatnonzero(labels == 1)]
 
@@ -188,7 +173,7 @@ def batch_statistics(
         Length-L array of statistic values, one per relabeling.
     """
     kind = PhiKind(kind)
-    entries = np.ascontiguousarray(entries, dtype=float)
+    entries = _as_gram(entries)
     amat = np.ascontiguousarray(amat, dtype=float)
     N = entries.shape[0]
     L = amat.shape[0]

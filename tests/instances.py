@@ -6,11 +6,11 @@ perfbench/tests, whose conftest.py takes the module name `conftest`.
 
 import numpy as np
 
-from pbftest import GramMatrix, gram_entries
+from pbftest import gram_entries
 
 
 def random_instance(rng, max_group=12, max_dim=8, kind="coeff", grid=None):
-    """Random labeled Gram instance for oracle-equivalence checks."""
+    """Random (Gram matrix, labels) instance for oracle-equivalence checks."""
     n = int(rng.integers(1, max_group + 1))
     m = int(rng.integers(1, max_group + 1))
     if kind == "coeff":
@@ -22,10 +22,4 @@ def random_instance(rng, max_group=12, max_dim=8, kind="coeff", grid=None):
         entries = gram_entries(values, "grid", grid)
     labels = np.concatenate([np.zeros(n, np.int8), np.ones(m, np.int8)])
     rng.shuffle(labels)
-    n = int(np.sum(labels == 0))
-    m = labels.size - n
-    if n == 0 or m == 0:  # reshuffle degenerate draws
-        labels[0], labels[-1] = 0, 1
-        n = int(np.sum(labels == 0))
-        m = labels.size - n
-    return GramMatrix(entries, n, m), labels
+    return entries, labels

@@ -456,6 +456,17 @@ def test_spectrum_cli_eigenvalues_nonincreasing(tmp_path, capsys):
     assert all(a <= b for a, b in zip(quants, quants[1:]))
 
 
+def test_spectrum_empty_quantile_list_is_usage_error(tmp_path, capsys):
+    curves = tmp_path / "null.csv"
+    np.savetxt(curves, np.random.default_rng(3).standard_normal((8, 4)), delimiter=",")
+    for quantiles in (",", ""):
+        code, out, err = run_cli(
+            capsys, "spectrum", "--input", str(curves), "--quantiles", quantiles, "--seed", "1"
+        )
+        assert (code, out) == (1, "")
+        assert "--quantiles needs at least one number" in err
+
+
 def test_spectrum_grid_length_mismatch_is_data_error(tmp_path, capsys):
     curves = tmp_path / "null.csv"
     np.savetxt(curves, np.random.default_rng(4).standard_normal((10, 7)), delimiter=",")

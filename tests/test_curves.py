@@ -67,14 +67,14 @@ def test_gridspec_validation():
 
 def test_gram_single_constant_curve():
     sample = FunctionalSample(np.array([[1.0], [1.0]]), [0, 1], "coeff")
-    assert np.array_equal(gram(sample).entries, np.ones((2, 2)))
+    assert np.array_equal(gram(sample), np.ones((2, 2)))
 
 
 def test_gram_one_and_t_hand_values():
     t = GRID101.points
     sample = make_sample(np.ones_like(t), t, "grid", GRID101)
     expected = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
-    assert np.allclose(gram(sample).entries, expected, atol=2e-5)
+    assert np.allclose(gram(sample), expected, atol=2e-5)
 
 
 def test_gram_exactly_symmetric(rng):
@@ -130,6 +130,10 @@ def test_sample_validation():
     values = np.zeros((3, 4))
     with pytest.raises(ValueError):
         FunctionalSample(values, [0, 0, 0], "coeff")  # one group empty
+    with pytest.raises(ValueError, match="non-empty"):
+        FunctionalSample(values, [1, 1, 1], "coeff")  # the other group empty
+    with pytest.raises(ValueError, match="one-dimensional"):
+        FunctionalSample(values, [[0], [1], [1]], "coeff")
     with pytest.raises(ValueError):
         FunctionalSample(values, [0, 1, 2], "coeff")
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -68,6 +69,17 @@ def test_run_power_counts_and_worker_invariance():
     assert serial.rejection_rate == serial.rejections / 40
     expected_se = math.sqrt(serial.rejection_rate * (1 - serial.rejection_rate) / 40)
     assert serial.mc_stderr == pytest.approx(expected_se)
+
+
+def test_run_power_builds_the_scenario_once():
+    base = dict(scenario="ex7", n=20, m=20, B=300, reps=30, seed=12, phis=tuple(PhiKind),
+                sampled_on_grid=True)
+    ScenarioConfig.scenario_obj.cache_clear()
+    with mock.patch.object(harness, "build_scenario", wraps=harness.build_scenario) as build:
+        serial = run_power(ScenarioConfig(**base, workers=1))
+    assert build.call_count == 1
+    assert {phi: est.rejections for phi, est in serial.items()} == {"l2": 9, "exp": 3, "log": 4}
+    assert run_power(ScenarioConfig(**base, workers=2)) == serial
 
 
 def test_cli_import_leaves_process_pools_unloaded():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pbftest import (
-    GramMatrix,
     KernelSpectrum,
     LimitShift,
     NumericalError,
@@ -20,14 +19,14 @@ from pbftest.spectrum import direction_averaged_distance
 
 def test_identical_curves_give_zero_kernel():
     entries = gram_entries(np.ones((5, 2)), "coeff")
-    h = empirical_h_matrix(GramMatrix(entries, 2, 3), PhiKind.L2)
+    h = empirical_h_matrix(entries, PhiKind.L2)
     assert np.array_equal(h, np.zeros((5, 5)))
 
 
 def test_hand_instance_identity_gram():
     # Gram = I_3, L2: averaged distance is (J - I)/3, so the centered kernel
     # is C/3 with C the centering projector
-    G = GramMatrix(np.eye(3), 1, 2)
+    G = np.eye(3)
     h = empirical_h_matrix(G, PhiKind.L2)
     expected = (np.eye(3) - np.ones((3, 3)) / 3.0) / 3.0
     assert np.allclose(h, expected, atol=1e-14)
@@ -37,7 +36,7 @@ def test_hand_instance_identity_gram():
 
 def test_kernel_symmetric_and_centered(rng):
     values = rng.standard_normal((14, 5))
-    G = GramMatrix(gram_entries(values, "coeff"), 7, 7)
+    G = gram_entries(values, "coeff")
     h = empirical_h_matrix(G, PhiKind.EXP)
     assert np.array_equal(h, h.T)
     assert np.max(np.abs(h.sum(axis=0))) <= 1e-10
@@ -59,7 +58,7 @@ def test_spectrum_rank_one():
 
 def test_eigenvalues_nonincreasing_and_trace_identity(rng):
     values = rng.standard_normal((30, 6))
-    G = GramMatrix(gram_entries(values, "coeff"), 15, 15)
+    G = gram_entries(values, "coeff")
     for kind in PhiKind:
         h = empirical_h_matrix(G, kind)
         spec = spectrum_estimate(G, kind)
@@ -125,6 +124,8 @@ def test_limit_shift_composition():
 def test_spectrum_estimate_validation():
     with pytest.raises(ValueError):
         spectrum_estimate(np.eye(2), PhiKind.L2)
+    with pytest.raises(ValueError, match="square"):
+        spectrum_estimate(np.zeros((3, 4)), PhiKind.L2)
     with pytest.raises(ValueError):
         sample_limit_law(KernelSpectrum(np.array([1.0]), 4, PhiKind.L2), 0)
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pbftest import (
-    GramMatrix,
     PhiKind,
     batch_statistics,
     bf_statistic_1d,
@@ -25,7 +24,7 @@ from pbftest.simgen import ScenarioParams
 
 from instances import random_instance
 
-HAND_GRAM = GramMatrix(np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]]), 1, 1)
+HAND_GRAM = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
 HAND_LABELS = np.array([0, 1])
 
 
@@ -98,7 +97,7 @@ def test_oracle_hand_values():
     assert pbf_statistic_oracle(HAND_GRAM, HAND_LABELS, PhiKind.L2) == pytest.approx(
         1.0 / 3.0, abs=1e-12
     )
-    zeros = GramMatrix(np.zeros((5, 5)), 2, 3)
+    zeros = np.zeros((5, 5))
     labels = np.array([0, 0, 1, 1, 1])
     for kind in PhiKind:
         assert pbf_statistic_oracle(zeros, labels, kind) == 0.0
@@ -109,9 +108,8 @@ def test_pbf_self_match_zero(rng):
     pooled = np.vstack([values, values])
     entries = gram_entries(pooled, "coeff")
     labels = np.concatenate([np.zeros(6, np.int8), np.ones(6, np.int8)])
-    G = GramMatrix(entries, 6, 6)
     for kind in PhiKind:
-        assert abs(pbf_statistic(G, labels, kind).zeta_hat) <= 1e-12
+        assert abs(pbf_statistic(entries, labels, kind).zeta_hat) <= 1e-12
 
 
 def test_pbf_matches_oracle_random_instances(rng):
@@ -134,10 +132,9 @@ def test_pbf_matches_oracle_random_instances(rng):
 def test_pbf_swap_symmetry(rng):
     for _ in range(20):
         G, labels = random_instance(rng)
-        swapped = GramMatrix(G.entries, G.m, G.n)
         for kind in PhiKind:
             a = pbf_statistic(G, labels, kind).zeta_hat
-            b = pbf_statistic(swapped, 1 - labels, kind).zeta_hat
+            b = pbf_statistic(G, 1 - labels, kind).zeta_hat
             assert abs(a - b) <= 1e-12
 
 
@@ -145,8 +142,8 @@ def test_pbf_unitary_invariance(rng):
     values = rng.standard_normal((14, 6))
     labels = np.concatenate([np.zeros(6, np.int8), np.ones(8, np.int8)])
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    G = GramMatrix(gram_entries(values, "coeff"), 6, 8)
-    G_rot = GramMatrix(gram_entries(values @ q, "coeff"), 6, 8)
+    G = gram_entries(values, "coeff")
+    G_rot = gram_entries(values @ q, "coeff")
     for kind in PhiKind:
         a = pbf_statistic(G, labels, kind).zeta_hat
         b = pbf_statistic(G_rot, labels, kind).zeta_hat
@@ -156,20 +153,24 @@ def test_pbf_unitary_invariance(rng):
 def test_scaled_form_consistency(rng):
     G, labels = random_instance(rng)
     value = pbf_statistic(G, labels, PhiKind.EXP)
-    assert value.scaled == value.zeta_hat * G.n * G.m / (G.n + G.m)
+    n = int(np.sum(labels == 0))
+    m = labels.size - n
+    assert value.scaled == value.zeta_hat * n * m / (n + m)
 
 
 def test_batch_matches_single_evaluations(rng):
     G, labels = random_instance(rng, max_group=8)
+    n = int(np.sum(labels == 0))
+    m = labels.size - n
     rows = []
     for _ in range(12):
         perm = rng.permutation(labels.size)
         flags = np.zeros(labels.size)
-        flags[perm[: G.n]] = 1.0
+        flags[perm[:n]] = 1.0
         rows.append(flags)
     amat = np.array(rows)
     for kind in PhiKind:
-        batched = batch_statistics(G.entries, amat, G.n, G.m, kind)
+        batched = batch_statistics(G, amat, n, m, kind)
         for row, expected in zip(amat, batched):
             single = pbf_statistic(G, (1 - row).astype(np.int8), kind).zeta_hat
             assert single == pytest.approx(expected, rel=1e-12, abs=1e-14)
@@ -180,6 +181,9 @@ def test_dimension_mismatch_rejected():
         pbf_statistic(HAND_GRAM, [0, 1, 1], PhiKind.L2)
     with pytest.raises(ValueError):
         pbf_statistic(HAND_GRAM, [0, 0], PhiKind.L2)
+    for evaluate in (pbf_statistic, pbf_statistic_oracle):
+        with pytest.raises(ValueError, match="square"):
+            evaluate(np.zeros((2, 3)), [0, 1], PhiKind.L2)
 
 
 def test_empirical_nonnegativity(rng):
@@ -217,30 +221,32 @@ def relabeled_instances(draw):
     amat = np.zeros((len(orders), size))
     for row, order in zip(amat, orders):
         row[list(order[:n])] = 1.0
-    return GramMatrix(gram_entries(values, "coeff"), n, m), amat
+    return gram_entries(values, "coeff"), amat
 
 
 @settings(max_examples=80, deadline=None)
 @given(relabeled_instances(), st.sampled_from(list(PhiKind)), st.data())
 def test_batch_statistics_matches_oracle_property(instance, kind, data):
     G, amat = instance
-    N = G.size
-    if G.n == G.m:
+    N = G.shape[0]
+    n = int(amat[0].sum())
+    m = N - n
+    if n == m:
         # with equal groups a relabeling and its complement are the same partition
         amat = np.vstack([amat, 1.0 - amat])
     pairs = N * (N - 1) // 2
     words = data.draw(st.integers(0, (pairs - 1) * N), label="words per block")
-    whole = batch_statistics(G.entries, amat, G.n, G.m, kind)
+    whole = batch_statistics(G, amat, n, m, kind)
     with mock.patch.object(statistic, "_BLOCK_WORDS", words):
-        blocks = sum(1 for _ in statistic._pair_blocks(G.entries, kind))
+        blocks = sum(1 for _ in statistic._pair_blocks(G, kind))
         assert blocks > 1 or pairs == 1
-        blocked = batch_statistics(G.entries, amat, G.n, G.m, kind)
+        blocked = batch_statistics(G, amat, n, m, kind)
     for flags, a, b in zip(amat, whole, blocked):
         oracle = pbf_statistic_oracle(G, (1.0 - flags).astype(np.int8), kind)
         # criterion 1's tolerance
         assert abs(a - oracle) <= 1e-10 * (1.0 + abs(oracle))
         assert abs(b - oracle) <= 1e-10 * (1.0 + abs(oracle))
-    if G.n == G.m:
+    if n == m:
         half = len(amat) // 2
         assert np.array_equal(whole[:half], whole[half:])
         assert np.array_equal(blocked[:half], blocked[half:])
@@ -254,9 +260,8 @@ def test_statistic_row_order_and_group_swap_invariance_property(instance, kind, 
     zeta = pbf_statistic(G, labels, kind).zeta_hat
     tol = 1e-12 * (1.0 + abs(zeta))
     # row order: permute the pooled rows and their labels jointly
-    order = np.array(data.draw(st.permutations(range(G.size)), label="row order"))
-    reordered = GramMatrix(G.entries[np.ix_(order, order)], G.n, G.m)
+    order = np.array(data.draw(st.permutations(range(G.shape[0])), label="row order"))
+    reordered = G[np.ix_(order, order)]
     assert abs(pbf_statistic(reordered, labels[order], kind).zeta_hat - zeta) <= tol
     # group swap: exchange the labels, and with them n and m
-    swapped = GramMatrix(G.entries, G.m, G.n)
-    assert abs(pbf_statistic(swapped, 1 - labels, kind).zeta_hat - zeta) <= tol
+    assert abs(pbf_statistic(G, 1 - labels, kind).zeta_hat - zeta) <= tol

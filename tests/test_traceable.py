@@ -5,18 +5,25 @@ modules.  A wrapped name that stays importable there but is no longer called
 reads 0, and a traced benchmark run then reports that zero as a measurement.
 This runs a small sweep, `pbftest test` on files with a missing cell and
 `pbftest spectrum` under the benchmark's tracer, and requires every metric it
-reports to be finite and above 0.  perfbench itself is imported, not edited.
+reports to be finite and above 0.  It also runs the benchmark's own output
+checks on two cycles of each benchmarked workload, so an output the benchmark
+would judge incorrect fails here first.  perfbench itself is imported, not
+edited.
 """
 
+import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
-import layers  # noqa: E402  (perfbench module, found through the path above)
+import layers  # noqa: E402  (perfbench modules, found through the path above)
+import workloads  # noqa: E402
 from pbftest import PhiKind, ScenarioConfig, cli, run_sweep  # noqa: E402
 
 
@@ -36,3 +43,17 @@ def test_every_traced_metric_is_positive(tmp_path, capsys):
     assert reported
     not_positive = {name: v for name, (v, _) in reported.items() if not (math.isfinite(v) and v > 0)}
     assert not not_positive, not_positive
+
+
+@pytest.mark.parametrize("name", ["power-null-n20", "sweep-alt-n50"])
+def test_benchmark_output_checks_pass(name, tmp_path):
+    recorded = json.loads((PERFBENCH / "expected.json").read_text())
+    session = workloads.Session(
+        workloads.WORKLOADS[name], recorded["seed"], tmp_path, recorded["workloads"][name]
+    )
+    session.warmup()
+    session.cycle(0)
+    session.cycle(1)
+    session.oracle_checks()
+    assert session.stats.failed == 0, session.stats.errors
+    assert session.stats.checked_against_record == 2
