@@ -28,6 +28,7 @@ from .curves import (
 from .harness import (
     _FIELD_TYPES,
     ScenarioConfig,
+    _one_blas_thread,
     _resolve_grid,
     append_ledger,
     ingest_pair,
@@ -267,6 +268,8 @@ def cmd_spectrum(args) -> int:
         raise UsageError("quantiles must lie strictly between 0 and 1")
     seed = _effective_seed(args.seed)
     values, abscissae, dropped = read_curves_csv(args.input, args.header)
+    if values.shape[0] < 3:
+        raise DataError(f"{args.input}: spectrum estimation needs at least 3 curves")
     if dropped:
         print(f"dropped {dropped} row(s) with missing values", file=sys.stderr)
     grid = _load_grid(args.grid) if args.grid else None
@@ -288,7 +291,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        with _one_blas_thread():
+            return args.handler(args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -8,11 +8,10 @@ count.
 
 import contextlib
 import csv
+import ctypes
 import functools
-import importlib.util
 import math
 import os
-import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -136,28 +135,27 @@ def _decisions(sample: FunctionalSample, phis: tuple, B: int, alpha: float, seed
     return {phi: permutation_test(sample, phi, B=B, seed=seed).p_value <= alpha for phi in phis}
 
 
-def _limit_worker_blas():
+try:  # numpy's bundled OpenBLAS; dlsym also searches the extension's dependencies
+    _blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    _get_blas_threads = ctypes.CFUNCTYPE(ctypes.c_int)(("scipy_openblas_get_num_threads64_", _blas))
+    _set_blas_threads = ctypes.CFUNCTYPE(None, ctypes.c_int)(("scipy_openblas_set_num_threads64_", _blas))
+except (AttributeError, OSError):  # another BLAS keeps its own thread count
+    _get_blas_threads, _set_blas_threads = (lambda: 0), (lambda count: None)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread (every kernel GEMM is small), then restore the count."""
+    before = _get_blas_threads()
+    _set_blas_threads(1)
     try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(1)
-    except ImportError:  # optional dependency; without it export OPENBLAS_NUM_THREADS=1
-        pass
+        yield
+    finally:
+        _set_blas_threads(before)
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _warn_uncapped_blas():
-    """Warn once per pool when neither threadpoolctl nor a BLAS thread variable caps workers."""
-    capped = any(var in os.environ for var in _BLAS_THREAD_VARS)
-    if not capped and importlib.util.find_spec("threadpoolctl") is None:
-        warnings.warn(
-            "threadpoolctl is not installed, so each worker may start one BLAS thread per core; "
-            "export OPENBLAS_NUM_THREADS=1 to cap them",
-            RuntimeWarning,
-            stacklevel=4,
-        )
+def _one_worker_blas_thread():
+    _set_blas_threads(1)  # a forked worker inherits the count, a spawned one would not
 
 
 def _study(replicate, reps: int, phis: tuple, workers: int, progress) -> dict:
@@ -168,13 +166,12 @@ def _study(replicate, reps: int, phis: tuple, workers: int, progress) -> dict:
     """
     workers = workers or (os.cpu_count() or 1)
     rejections = dict.fromkeys(phis, 0)
-    with contextlib.ExitStack() as stack:
+    with _one_blas_thread(), contextlib.ExitStack() as stack:
         if workers > 1 and reps > 1:
             from concurrent.futures import ProcessPoolExecutor  # spares serial runs its import
 
-            _warn_uncapped_blas()
             pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=workers, initializer=_limit_worker_blas)
+                ProcessPoolExecutor(max_workers=workers, initializer=_one_worker_blas_thread)
             )
             decisions = pool.map(replicate, range(reps), chunksize=max(1, reps // (workers * 8)))
         else:
@@ -196,8 +193,7 @@ def run_power(config: ScenarioConfig, progress=None) -> dict:
 
     Returns:
         Mapping PhiKind -> PowerEstimate.  Counts are exact sums over
-        replications, so results do not depend on worker count.  A worker
-        pool whose BLAS threads nothing caps first issues a RuntimeWarning.
+        replications, so results do not depend on worker count.
     """
     replicate = functools.partial(run_single_replication, config)
     return _study(replicate, config.reps, config.phis, config.workers, progress)

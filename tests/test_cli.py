@@ -59,6 +59,24 @@ def test_python_dash_m_runs_cli_and_passes_exit_code(tmp_path):
     assert "no_such_x.csv" in proc.stderr
 
 
+def test_parallel_study_is_warning_free_without_blas_variables(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(pbftest.__file__).resolve().parents[1]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    ledgers = []
+    for threads in ("2", "1"):
+        ledgers.append(tmp_path / f"threads{threads}.csv")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "pbftest", "power", "--scenario", "ex3",
+             "--n", "6", "--m", "6", "--b", "20", "--reps", "4", "--seed", "3",
+             "--threads", threads, "--out", str(ledgers[-1])],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+    assert ledgers[0].read_text() == ledgers[1].read_text()
+
+
 def test_overflowing_input_is_numerical_error(tmp_path, capsys):
     # inner products of curves near 1e160 overflow, and near 1e100 log's
     # squared projection gaps do; a NaN statistic must not turn into a
@@ -476,6 +494,20 @@ def test_spectrum_grid_length_mismatch_is_data_error(tmp_path, capsys):
         code, _, err = run_cli(capsys, *command, "--grid", str(grid), "--seed", "1")
         assert code == 2
         assert "grid length" in err
+
+
+def test_spectrum_with_too_few_curves_is_data_error(tmp_path, capsys):
+    # 2 rows, or 4 rows of which 2 are dropped for NA cells, leave 2 curves
+    rows = np.random.default_rng(4).standard_normal((4, 5)).round(6).astype(str)
+    rows[1, 2], rows[3, 0] = "NA", ""
+    short, holed = tmp_path / "short.csv", tmp_path / "holed.csv"
+    short.write_text("\n".join(",".join(row) for row in rows[[0, 2]]) + "\n")
+    holed.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    for path in (short, holed):
+        code, out, err = run_cli(capsys, "spectrum", "--input", str(path), "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert str(path) in err and "at least 3 curves" in err
 
 
 def test_malformed_grid_is_data_error(tmp_path, capsys):

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -24,7 +23,7 @@ from pbftest import (
     run_subsample_power,
     run_sweep,
 )
-from pbftest import harness, permutation_test
+from pbftest import cli, harness, permutation_test
 from pbftest._rng import derive_seed, substream
 from pbftest.harness import LEDGER_COLUMNS, power_rows
 
@@ -92,22 +91,54 @@ def test_cli_import_leaves_process_pools_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_run_power_warns_when_worker_blas_is_uncapped(monkeypatch):
-    for var in harness._BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails, as when absent
-    base = dict(scenario="ex3", n=6, m=6, B=20, reps=4, seed=3, phis=(PhiKind.L2, PhiKind.EXP))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        serial = run_power(ScenarioConfig(**base, workers=1))
-    with pytest.warns(RuntimeWarning, match="export OPENBLAS_NUM_THREADS=1") as record:
-        parallel = run_power(ScenarioConfig(**base, workers=2))
-    assert sum(issubclass(w.category, RuntimeWarning) for w in record) == 1
-    assert parallel == serial
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run_power(ScenarioConfig(**base, workers=2)) == serial
+def _blas_threads_seen(index):
+    return {harness._get_blas_threads(): True}  # a study counts replications per thread count
+
+
+def test_studies_and_commands_run_on_one_blas_thread(tmp_path, monkeypatch):
+    before = harness._get_blas_threads()
+    assert before >= 1  # numpy's OpenBLAS was found, so the cap is not a no-op
+    seen = []
+    real_test = cli.permutation_test
+
+    def recording_test(*args, **kwargs):
+        seen.append(harness._get_blas_threads())
+        return real_test(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "permutation_test", recording_test)
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    np.savetxt(x, np.random.default_rng(1).standard_normal((6, 5)), delimiter=",")
+    np.savetxt(y, np.random.default_rng(2).standard_normal((6, 5)), delimiter=",")
+    try:
+        harness._set_blas_threads(2)
+        for workers in (1, 2):
+            counts = harness._study(_blas_threads_seen, 6, (1, 2), workers, None)
+            assert {k: est.rejections for k, est in counts.items()} == {1: 6, 2: 0}
+            assert harness._get_blas_threads() == 2
+        assert cli.main(["test", str(x), str(y), "--b", "19", "--seed", "1"]) == 0
+        assert seen == [1]
+        assert harness._get_blas_threads() == 2
+    finally:
+        harness._set_blas_threads(before)
+
+
+def test_without_numpys_openblas_the_cap_is_a_no_op():
+    code = (
+        "import ctypes, numpy\n"
+        "def gone(*args, **kwargs): raise OSError('not found')\n"
+        "ctypes.CDLL = gone\n"
+        "from pbftest import ScenarioConfig, harness, run_power\n"
+        "with harness._one_blas_thread():\n"
+        "    assert harness._get_blas_threads() == 0\n"
+        "config = ScenarioConfig(scenario='ex3', n=6, m=6, B=20, reps=4, seed=3, workers=2)\n"
+        "print(run_power(config)['l2'].rejections)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    config = ScenarioConfig(scenario="ex3", n=6, m=6, B=20, reps=4, seed=3)
+    assert int(out.stdout) == run_power(config)[PhiKind.L2].rejections
 
 
 def test_run_power_matches_per_replication_decisions():
