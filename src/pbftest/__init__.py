@@ -57,12 +57,9 @@ from .spectrum import (
 )
 from .statistic import (
     PhiKind,
-    StatisticValue,
     batch_statistics,
-    bf_statistic_1d,
     pbf_statistic,
     pbf_statistic_oracle,
-    phi_eval,
 )
 
 __version__ = "0.1.0"

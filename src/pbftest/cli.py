@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, MemoryError) as exc:  # MemoryError: --b, --n, ... too large
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

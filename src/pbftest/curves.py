@@ -1,8 +1,8 @@
 """Functional observations and their pairwise inner products.
 
-Curves are either sampled on a shared grid (inner products by quadrature
-over [a, b]) or given by coefficients in a shared orthonormal basis (inner
-products are exact dot products).  The Gram matrix of the pooled sample and
+Curves are either sampled on a shared grid (inner products by the
+trapezoid rule over [a, b]) or given by coefficients in a shared
+orthonormal basis (inner products are exact dot products).  The Gram matrix of the pooled sample and
 the group labels are all the test statistic needs.
 """
 
@@ -15,11 +15,6 @@ import numpy as np
 
 GRID = "grid"
 COEFF = "coeff"
-
-TRAPEZOID = "trapezoid"
-RIEMANN_LEFT = "riemann-left"
-
-_QUADRATURES = (TRAPEZOID, RIEMANN_LEFT)
 
 
 class DataError(Exception):
@@ -41,44 +36,36 @@ def gram_call_count() -> int:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Shared abscissae and quadrature rule for grid-sampled curves."""
+    """Shared abscissae of grid-sampled curves; inner products use the trapezoid rule."""
 
     points: np.ndarray
-    quadrature: str = TRAPEZOID
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1:
             raise ValueError("grid points must be a one-dimensional array")
-        if self.quadrature not in _QUADRATURES:
-            raise ValueError(f"unknown quadrature rule {self.quadrature!r}")
-        min_len = 2 if self.quadrature == TRAPEZOID else 1
-        if pts.size < min_len:
-            raise ValueError(f"{self.quadrature} needs at least {min_len} grid points")
+        if pts.size < 2:
+            raise ValueError("trapezoid needs at least 2 grid points")
         if not np.all(np.isfinite(pts)):
             raise ValueError("grid points must be finite")
-        if pts.size > 1 and not np.all(np.diff(pts) > 0):
+        if not np.all(np.diff(pts) > 0):
             raise ValueError("grid points must be strictly increasing")
 
     def weights(self) -> np.ndarray:
-        """Quadrature weights w with <a, b> = sum_j w_j a_j b_j."""
+        """Trapezoid weights w with <a, b> = sum_j w_j a_j b_j."""
         t = self.points
         w = np.zeros_like(t)
-        if self.quadrature == TRAPEZOID:
-            w[0] = (t[1] - t[0]) / 2.0
-            w[-1] = (t[-1] - t[-2]) / 2.0
-            if t.size > 2:
-                w[1:-1] = (t[2:] - t[:-2]) / 2.0
-        else:
-            if t.size > 1:
-                w[:-1] = np.diff(t)
+        w[0] = (t[1] - t[0]) / 2.0
+        w[-1] = (t[-1] - t[-2]) / 2.0
+        if t.size > 2:
+            w[1:-1] = (t[2:] - t[:-2]) / 2.0
         return w
 
 
-def equispaced_grid(points: int = 101, quadrature: str = TRAPEZOID) -> GridSpec:
+def equispaced_grid(points: int = 101) -> GridSpec:
     """Default simulation grid: equispaced points on [0, 1]."""
-    return GridSpec(np.linspace(0.0, 1.0, points), quadrature)
+    return GridSpec(np.linspace(0.0, 1.0, points))
 
 
 @dataclass(frozen=True)

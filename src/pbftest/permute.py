@@ -11,7 +11,7 @@ import numpy as np
 
 from ._rng import substream
 from .curves import FunctionalSample, NumericalError, gram
-from .statistic import PhiKind, StatisticValue, batch_statistics
+from .statistic import PhiKind, batch_statistics
 
 # Relative slack when comparing permuted to observed values: relabelings that
 # reproduce the observed statistic in exact arithmetic must count as ties
@@ -54,7 +54,8 @@ class TestResult:
 def _relabelings(N: int, n: int, B: int, seed: int) -> np.ndarray:
     """First-group flags of B random relabelings as a (B, N) 0/1 matrix;
     replicate i uses the seed-xor-i substream."""
-    perms = np.tile(np.arange(N), (B, 1))  # permutation(N) is arange(N), shuffled
+    # permutation(N) is arange(N), shuffled; an oversized B raises ValueError or MemoryError
+    perms = np.broadcast_to(np.arange(N), (B, N)).copy()
     for i, row in enumerate(perms, start=1):
         substream(seed, i).shuffle(row)
     amat = np.zeros((B, N))
@@ -97,17 +98,16 @@ def permutation_test(
     observed_row = (sample.labels == 0).astype(float)[None, :]
     amat = np.vstack([observed_row, _relabelings(N, n, B, seed)])
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        stats = batch_statistics(entries, amat, n, m, kind)
+        stats = batch_statistics(entries, amat, kind)
     if not np.all(np.isfinite(stats)):
         raise NumericalError("statistic is not finite (projection gaps overflow)")
     zeta, replicates = float(stats[0]), stats[1:]
     ties_from = zeta - _TIE_RTOL * max(1.0, abs(zeta))
     p_value = (int(np.sum(replicates >= ties_from)) + 1) / (B + 1)
 
-    value = StatisticValue(zeta, n, m)
     return TestResult(
-        zeta_hat=value.zeta_hat,
-        scaled=value.scaled,
+        zeta_hat=zeta,
+        scaled=zeta * n * m / (n + m),
         p_value=p_value,
         b_used=B,
         phi=kind,

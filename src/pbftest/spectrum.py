@@ -27,8 +27,6 @@ class KernelSpectrum:
     """Estimated eigenvalues of the limiting kernel, largest first."""
 
     eigenvalues: np.ndarray
-    n_used: int
-    phi: PhiKind
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,7 @@ def empirical_h_matrix(G, kind: PhiKind) -> np.ndarray:
     return upper + np.triu(h, 1).T
 
 
-def spectrum_from_kernel_matrix(h: np.ndarray, kind: PhiKind) -> KernelSpectrum:
+def spectrum_from_kernel_matrix(h: np.ndarray) -> KernelSpectrum:
     """Eigenvalues of h / N, sorted descending and truncated.
 
     Trailing eigenvalues below 1e-12 of the largest are dropped; a kernel
@@ -103,7 +101,7 @@ def spectrum_from_kernel_matrix(h: np.ndarray, kind: PhiKind) -> KernelSpectrum:
         kept = np.empty(0)
     else:
         kept = lam[lam >= _TRUNCATION_RATIO * lam[0]]
-    return KernelSpectrum(eigenvalues=kept, n_used=N, phi=PhiKind(kind))
+    return KernelSpectrum(kept)
 
 
 def spectrum_estimate(G, kind: PhiKind) -> KernelSpectrum:
@@ -121,7 +119,7 @@ def spectrum_estimate(G, kind: PhiKind) -> KernelSpectrum:
         raise ValueError("spectrum estimation needs at least 3 observations")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite h raises below
         h = empirical_h_matrix(entries, kind)
-    return spectrum_from_kernel_matrix(h, kind)
+    return spectrum_from_kernel_matrix(h)
 
 
 def sample_limit_law(

@@ -45,59 +45,17 @@ _PHI_SCALAR = {
 }
 
 
-def phi_eval(kind: PhiKind, z):
-    """Evaluate the transform phi on nonnegative z (scalar or array)."""
-    kind = PhiKind(kind)
-    arr = np.asarray(z, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("phi is defined on nonnegative arguments only")
-    out = _PHI_ARRAY[kind](arr.copy())
-    return float(out) if np.isscalar(z) or arr.ndim == 0 else out
-
-
-def bf_statistic_1d(projections, labels, kind: PhiKind) -> float:
-    """One-dimensional energy statistic of the projected pooled sample.
-
-    With groups A (size n) and B (size m) and projected values p, this is
-
-        (2/nm) sum_{j in A, k in B} phi((p_j - p_k)^2)
-        - (1/n^2) sum_{j,k in A} phi((p_j - p_k)^2)
-        - (1/m^2) sum_{j,k in B} phi((p_j - p_k)^2).
-    """
-    kind = PhiKind(kind)
-    p = np.asarray(projections, dtype=float)
-    labels, n, m = _group_sizes(labels)
-    if p.shape != labels.shape:
-        raise ValueError("projections and labels must have the same length")
-    y = np.where(labels == 0, 1.0 / n, -1.0 / m)[None, :]
-    return float(_quadratic(_phi_sums(p[:, None], kind), y, n, m)[0])
-
-
-class StatisticValue:
-    """Observed statistic together with its nm/(n+m)-scaled form."""
-
-    __slots__ = ("zeta_hat", "scaled")
-
-    def __init__(self, zeta_hat: float, n: int, m: int):
-        self.zeta_hat = float(zeta_hat)
-        self.scaled = float(zeta_hat) * n * m / (n + m)
-
-    def __repr__(self):
-        return f"StatisticValue(zeta_hat={self.zeta_hat!r}, scaled={self.scaled!r})"
-
-
-def pbf_statistic(G: np.ndarray, labels, kind: PhiKind) -> StatisticValue:
-    """Evaluate the statistic from an N x N Gram matrix and N group labels.
+def pbf_statistic(G: np.ndarray, labels, kind: PhiKind) -> float:
+    """The statistic zeta_hat of an N x N Gram matrix and N group labels.
 
     Aggregates the per-direction 1-d energy statistics over the empirical
     mixture of the two groups; algebraically identical to the direct
     six-triple-sum form (see `pbf_statistic_oracle`) but runs in O(N^2) per
     direction.
     """
-    labels, n, m = _group_sizes(labels)
+    labels, _, _ = _group_sizes(labels)
     amat = (labels == 0).astype(float)[None, :]
-    zeta = batch_statistics(G, amat, n, m, kind)[0]  # checks G and the labels' length
-    return StatisticValue(zeta, n, m)
+    return float(batch_statistics(G, amat, kind)[0])  # checks G and the labels' length
 
 
 def pbf_statistic_oracle(G: np.ndarray, labels, kind: PhiKind) -> float:
@@ -152,33 +110,30 @@ def pbf_statistic_oracle(G: np.ndarray, labels, kind: PhiKind) -> float:
     )
 
 
-def batch_statistics(
-    entries: np.ndarray,
-    amat: np.ndarray,
-    n: int,
-    m: int,
-    kind: PhiKind,
-) -> np.ndarray:
+def batch_statistics(entries: np.ndarray, amat: np.ndarray, kind: PhiKind) -> np.ndarray:
     """Statistic values for many relabelings of one Gram matrix.
 
     Args:
         entries: N x N Gram matrix of the pooled sample.
-        amat: L x N float 0/1 matrix; row l flags the first group of
-            relabeling l (exactly n ones per row).
-        n: First-group size.
-        m: Second-group size.
+        amat: L x N 0/1 matrix, L >= 1; row l flags the first group of
+            relabeling l with 1.  Every row flags the same number n of
+            curves, 0 < n < N, and the group sizes n and m = N - n are read
+            from the rows.
         kind: Distance transform.
 
     Returns:
         Length-L array of statistic values, one per relabeling.
+
+    Raises:
+        ValueError: when `amat` is not such a matrix.
     """
     kind = PhiKind(kind)
     entries = _as_gram(entries)
     amat = np.ascontiguousarray(amat, dtype=float)
     N = entries.shape[0]
+    n = _first_group_size(amat, N)  # its L x N temporaries are freed before the kernel allocates
+    m = N - n
     L = amat.shape[0]
-    if amat.shape[1] != N:
-        raise ValueError("relabeling matrix width must match the Gram dimension")
     # Relabeling l weighs pair (j, k) by -2 y_j y_k, where y is 1/n on its first
     # group and -1/m on its second, and direction c by |y_c| / 2: 1/(2m) plus
     # `excess` on the first group.  So zeta is 1/(2m) times the statistic of
@@ -206,6 +161,18 @@ def batch_statistics(
     if excess:
         zeta += excess * np.einsum("lc,lc->l", amat, t_stat + (1.0 / n + 1.0 / m) * level)
     return zeta
+
+
+def _first_group_size(amat: np.ndarray, N: int) -> int:
+    """n, when each row of `amat` flags n of the N curves with 1 and the rest 0, 0 < n < N."""
+    if amat.ndim != 2 or amat.shape[1] != N:
+        raise ValueError("relabeling matrix width must match the Gram dimension")
+    counts = np.count_nonzero(amat == 1.0, axis=1)
+    n = int(counts[0]) if len(counts) else 0
+    # every nonzero entry (a NaN too) must be a 1
+    if not (0 < n < N and np.all(counts == n) and np.count_nonzero(amat) == n * len(counts)):
+        raise ValueError(f"relabeling rows must each flag n curves with 1, the rest 0, 0 < n < {N}")
+    return n
 
 
 # Pairs per kernel block: as many as fit in _BLOCK_WORDS words of phi-block

@@ -22,6 +22,7 @@ from pbftest import (
     gram,
     gram_call_count,
     gram_entries,
+    make_sample,
     pbf_statistic,
     pbf_statistic_oracle,
     permutation_test,
@@ -56,7 +57,7 @@ def test_criterion_01_oracle_equivalence():
         kind = "coeff" if trial % 2 == 0 else "grid"
         G, labels = random_instance(rng, kind=kind, grid=grid)
         phi = phis[trial % 3]
-        fast = pbf_statistic(G, labels, phi).zeta_hat
+        fast = pbf_statistic(G, labels, phi)
         oracle = pbf_statistic_oracle(G, labels, phi)
         worst = max(worst, abs(fast - oracle) / (1.0 + abs(oracle)))
     elapsed = time.time() - start
@@ -68,12 +69,19 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_hand_value():
     G = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
-    value = pbf_statistic(G, [0, 1], PhiKind.L2)
-    ok = abs(value.zeta_hat - 1.0 / 3.0) <= 1e-12 and abs(value.scaled - 1.0 / 6.0) <= 1e-12
+    zeta = pbf_statistic(G, [0, 1], PhiKind.L2)
+    # coefficient curves [1, 0] and [0.5, sqrt(1/12)] have G as their Gram matrix
+    sample = make_sample([[1.0, 0.0]], [[0.5, math.sqrt(1.0 / 12.0)]], "coeff")
+    value = permutation_test(sample, PhiKind.L2, B=1, seed=0)
+    ok = (
+        abs(zeta - 1.0 / 3.0) <= 1e-12
+        and abs(value.zeta_hat - 1.0 / 3.0) <= 1e-12
+        and abs(value.scaled - 1.0 / 6.0) <= 1e-12
+    )
     _report(
         "criterion 2 (hand value)",
         ok,
-        f"zeta_hat {value.zeta_hat:.15f}, scaled {value.scaled:.15f}",
+        f"zeta_hat {zeta:.15f} (Gram), {value.zeta_hat:.15f} (test), scaled {value.scaled:.15f}",
     )
 
 def test_criterion_03_invariance_suite():
@@ -84,8 +92,8 @@ def test_criterion_03_invariance_suite():
     for _ in range(60):
         G, labels = random_instance(rng)
         phi = list(PhiKind)[int(rng.integers(3))]
-        a = pbf_statistic(G, labels, phi).zeta_hat
-        b = pbf_statistic(G, 1 - labels, phi).zeta_hat
+        a = pbf_statistic(G, labels, phi)
+        b = pbf_statistic(G, 1 - labels, phi)
         assert abs(a - b) <= 1e-12
 
     # self-match zero: identical group multisets
@@ -96,7 +104,7 @@ def test_criterion_03_invariance_suite():
         G = gram_entries(pooled, "coeff")
         labels = np.concatenate([np.zeros(count, np.int8), np.ones(count, np.int8)])
         phi = list(PhiKind)[int(rng.integers(3))]
-        assert abs(pbf_statistic(G, labels, phi).zeta_hat) <= 1e-12
+        assert abs(pbf_statistic(G, labels, phi)) <= 1e-12
 
     # shared orthogonal transforms leave the statistic unchanged
     for _ in range(40):
@@ -107,8 +115,8 @@ def test_criterion_03_invariance_suite():
         G = gram_entries(values, "coeff")
         G_rot = gram_entries(values @ q, "coeff")
         phi = list(PhiKind)[int(rng.integers(3))]
-        a = pbf_statistic(G, labels, phi).zeta_hat
-        b = pbf_statistic(G_rot, labels, phi).zeta_hat
+        a = pbf_statistic(G, labels, phi)
+        b = pbf_statistic(G_rot, labels, phi)
         assert abs(a - b) <= 1e-8 * (1.0 + abs(a))
 
     # determinism per seed, bit-identical results

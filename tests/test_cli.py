@@ -403,6 +403,31 @@ def test_bad_d_or_workers_exits_before_running(tmp_path, capsys):
         assert not ledger.exists()
 
 
+@pytest.mark.parametrize("command", ["test", "power", "sweep", "simulate", "spectrum"])
+@pytest.mark.parametrize("size", ["10000000000000", "100000000000000000000"])
+def test_oversized_count_is_one_error_line(tmp_path, capsys, command, size):
+    # B (or --count, --draws) x N array entries above the 47-bit address space:
+    # numpy refuses the array before allocating it, and the CLI exits 1 with
+    # one error line, no output, no ledger and no curve files
+    x, y, ledger = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "ledger.csv"
+    rng = np.random.default_rng(4)
+    np.savetxt(x, rng.standard_normal((8, 5)), delimiter=",")
+    np.savetxt(y, rng.standard_normal((8, 5)), delimiter=",")
+    study = ("--scenario", "ex1", "--n", "8", "--m", "8", "--reps", "3", "--seed", "1", "--out", str(ledger))
+    argv = {
+        "test": ["test", str(x), str(y), "--b", size, "--seed", "1"],
+        "power": ["power", *study, "--b", size],
+        "sweep": ["sweep", *study, "--b", "10", "--param", "B", "--values", size],
+        "simulate": ["simulate", "--scenario", "ex1", "--count", size, "--seed", "1",
+                     "--out-x", str(ledger), "--out-y", str(ledger)],
+        "spectrum": ["spectrum", "--input", str(x), "--draws", size, "--seed", "1"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("error:") == 1 and "Traceback" not in err and "replication" not in err
+    assert not ledger.exists()
+
+
 def test_header_files_must_share_abscissae(tmp_path, capsys):
     # y's header counts as much as x's: a y header that is malformed or on
     # another grid is a data error in either file order

@@ -19,7 +19,7 @@ from pbftest import (
     write_curves_csv,
 )
 from pbftest import curves
-from pbftest.curves import _MISSING_TOKENS, RIEMANN_LEFT, _read_rows
+from pbftest.curves import _MISSING_TOKENS, _read_rows
 
 
 GRID101 = equispaced_grid(101)
@@ -44,13 +44,6 @@ def test_grid_linear_squared():
     assert _inner(t, t, grid=GRID101) == pytest.approx(1.0 / 3.0, abs=2e-5)
 
 
-def test_riemann_left_cross_check():
-    grid = equispaced_grid(101, RIEMANN_LEFT)
-    t = grid.points
-    # left sums undershoot the increasing integrand by h/2
-    assert _inner(np.ones_like(t), t, grid=grid) == pytest.approx(0.495, abs=1e-12)
-
-
 def test_inner_product_errors():
     with pytest.raises(ValueError, match="requires a GridSpec"):
         _inner([1.0, 0.0], [1.0, 0.0])  # grid kind without a grid
@@ -61,8 +54,6 @@ def test_gridspec_validation():
         GridSpec([0.0, 0.5, 0.4])
     with pytest.raises(ValueError):
         GridSpec([0.0])
-    with pytest.raises(ValueError):
-        GridSpec([0.0, 1.0], "simpson")
 
 
 def test_gram_single_constant_curve():

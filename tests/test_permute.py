@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pbftest import (
+    FunctionalSample,
     NumericalError,
     PhiKind,
+    batch_statistics,
     gram,
     gram_call_count,
     make_sample,
@@ -66,6 +71,26 @@ def test_one_substream_per_relabeling(rng, monkeypatch):
     config = ScenarioConfig(scenario="ex1", n=6, m=6, B=23, reps=1, phis=tuple(PhiKind), seed=3)
     run_single_replication(config, 0)
     assert len(calls) == 3 * 23
+
+
+@pytest.mark.parametrize("n, m, seed", [(5, 5, 1), (3, 7, 2), (4, 6, 3)])
+def test_relabelings_are_uniform_subsets(n, m, seed):
+    # every C(N, n) first group at once gives the exact permutation mean and
+    # SD of the statistic; the mean of B drawn replicates must lie within 4
+    # standard errors of it.  An outlier as the last curve makes a draw that
+    # favours or avoids one position move the mean when n != m.
+    N, B = n + m, 2000
+    values = np.random.default_rng(seed).standard_normal((N, 3))
+    values[-1] += 6.0
+    sample = FunctionalSample(values, np.repeat(np.array([0, 1], np.int8), [n, m]), "coeff")
+    every = np.zeros((math.comb(N, n), N))
+    for row, first in zip(every, itertools.combinations(range(N), n)):
+        row[list(first)] = 1.0
+    G = gram(sample)
+    for kind in PhiKind:
+        exact = batch_statistics(G, every, kind)
+        drawn = permutation_test(sample, kind, B=B, seed=seed, keep_replicates=True).replicate_stats
+        assert abs(drawn.mean() - exact.mean()) <= 4.0 * exact.std() / math.sqrt(B), kind
 
 
 @st.composite

@@ -9,12 +9,12 @@ from pbftest import (
     double_center,
     empirical_h_matrix,
     gram_entries,
-    phi_eval,
     sample_limit_law,
     spectrum_estimate,
     spectrum_from_kernel_matrix,
 )
 from pbftest.spectrum import direction_averaged_distance
+from pbftest.statistic import _PHI_SCALAR
 
 
 def test_identical_curves_give_zero_kernel():
@@ -45,14 +45,14 @@ def test_kernel_symmetric_and_centered(rng):
 
 
 def test_spectrum_zero_matrix_empty():
-    spec = spectrum_from_kernel_matrix(np.zeros((4, 4)), PhiKind.L2)
+    spec = spectrum_from_kernel_matrix(np.zeros((4, 4)))
     assert spec.eigenvalues.size == 0
 
 
 def test_spectrum_rank_one():
     v = np.array([0.5, -0.5, 0.5, -0.5])
     h = 2.4 * np.outer(v, v)
-    spec = spectrum_from_kernel_matrix(h, PhiKind.L2)
+    spec = spectrum_from_kernel_matrix(h)
     assert np.allclose(spec.eigenvalues, [0.6], atol=1e-14)
 
 
@@ -78,7 +78,7 @@ def test_direction_averaged_distance_matches_pair_loop(rng):
         assert np.all(np.diag(dist) == 0.0)
         for a, b in ((0, 0), (0, 1), (3, 69), (69, 3), (41, 17)):
             gaps = (entries[:, a] - entries[:, b]) ** 2
-            direct = sum(phi_eval(kind, float(z)) for z in gaps) / 70.0
+            direct = sum(_PHI_SCALAR[kind](float(z)) for z in gaps) / 70.0
             assert dist[a, b] == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
@@ -91,12 +91,12 @@ def test_constant_kernel_shift_is_annihilated(rng):
 
 
 def test_limit_law_empty_spectrum():
-    spec = KernelSpectrum(np.empty(0), n_used=10, phi=PhiKind.L2)
+    spec = KernelSpectrum(np.empty(0))
     assert np.array_equal(sample_limit_law(spec, 50, seed=1), np.zeros(50))
 
 
 def test_limit_law_chi_square_mean():
-    spec = KernelSpectrum(np.array([1.0]), n_used=10, phi=PhiKind.L2)
+    spec = KernelSpectrum(np.array([1.0]))
     draws = sample_limit_law(spec, 100000, seed=4)
     # chi^2_1 mean 1, sd sqrt(2): 3 standard errors
     assert abs(draws.mean() - 1.0) <= 3.0 * np.sqrt(2.0 / draws.size)
@@ -104,7 +104,7 @@ def test_limit_law_chi_square_mean():
 
 def test_limit_law_shifted_mean():
     mu = 0.7
-    spec = KernelSpectrum(np.array([1.0]), n_used=10, phi=PhiKind.L2)
+    spec = KernelSpectrum(np.array([1.0]))
     draws = sample_limit_law(spec, 100000, shift=np.array([mu]), seed=5)
     # noncentral chi^2_1 mean 1 + mu^2, variance 2 + 4 mu^2
     se = np.sqrt((2.0 + 4.0 * mu * mu) / draws.size)
@@ -114,7 +114,7 @@ def test_limit_law_shifted_mean():
 def test_limit_shift_composition():
     shift = LimitShift(delta=2.0, mixture_ratio=0.25, eigenfunction_means=np.array([1.0, -0.5]))
     assert np.allclose(shift.per_component(), [1.0, -0.5])
-    spec = KernelSpectrum(np.array([1.0, 0.5]), n_used=10, phi=PhiKind.L2)
+    spec = KernelSpectrum(np.array([1.0, 0.5]))
     draws = sample_limit_law(spec, 200, shift=shift, seed=6)
     assert draws.shape == (200,)
     with pytest.raises(ValueError):
@@ -127,11 +127,11 @@ def test_spectrum_estimate_validation():
     with pytest.raises(ValueError, match="square"):
         spectrum_estimate(np.zeros((3, 4)), PhiKind.L2)
     with pytest.raises(ValueError):
-        sample_limit_law(KernelSpectrum(np.array([1.0]), 4, PhiKind.L2), 0)
+        sample_limit_law(KernelSpectrum(np.array([1.0])), 0)
 
 
 def test_nonfinite_kernel_surfaces_as_numerical_error():
     bad = np.eye(3)
     bad[0, 0] = np.nan
     with pytest.raises(NumericalError):
-        spectrum_from_kernel_matrix(bad, PhiKind.L2)
+        spectrum_from_kernel_matrix(bad)
