@@ -8,6 +8,7 @@ are pipeable.  Exit codes: 0 completed, 1 usage error, 2 data error,
 import argparse
 import functools
 import json
+import os
 import secrets
 import sys
 from dataclasses import asdict
@@ -88,6 +89,15 @@ def _load_grid(path) -> GridSpec:
         return GridSpec(values[0])
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _check_writable(*paths) -> None:
+    """UsageError unless each output file could be opened for writing; creates nothing."""
+    for path in paths:
+        folder = os.path.dirname(os.path.abspath(path))
+        target = path if os.path.exists(path) else folder
+        if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+            raise UsageError(f"cannot write {path}")
 
 
 def _add_common_scenario_flags(sub):
@@ -204,6 +214,7 @@ def cmd_simulate(args) -> int:
     settings = _settings(args) | {"n": args.count, "m": args.count}
     settings["seed"] = _effective_seed(settings.get("seed"))
     config = ScenarioConfig(**settings)
+    _check_writable(args.out_x, args.out_y)
     sample = generate_pair(config.scenario_obj(), config.n, config.m, config.seed)
     write_curves_csv(args.out_x, sample.values[sample.labels == 0])
     write_curves_csv(args.out_y, sample.values[sample.labels == 1])
@@ -235,6 +246,7 @@ def _progress_printer(reps: int):
 def cmd_study(args) -> int:
     """`power`, or `sweep` when `--param` names a parameter to vary."""
     config = _power_config(args)
+    _check_writable(args.out)
     if args.param is None:
         rows = power_rows(config, run_power(config, progress=_progress_printer(config.reps)))
     else:

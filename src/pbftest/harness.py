@@ -28,7 +28,8 @@ from .curves import (
     read_curves_csv,
 )
 from .permute import permutation_test
-from .simgen import MIXTURE_IDS, Scenario, ScenarioParams, build_scenario, generate_pair, mixture_rate
+from .simgen import MIXTURE_IDS, Scenario, ScenarioParams, build_scenario, check_scenario_id
+from .simgen import generate_pair, mixture_rate
 from .statistic import PhiKind
 
 LEDGER_COLUMNS = (
@@ -65,6 +66,7 @@ class ScenarioConfig:
     workers: int = 1
 
     def __post_init__(self):
+        check_scenario_id(self.scenario)
         _check_reps_alpha(self.reps, self.alpha)
         if self.B < 1:
             raise ValueError("B must be at least 1")
@@ -384,7 +386,7 @@ def read_config_file(path) -> dict:
             if key == "phi":
                 out["phis"] = parse_phi_list(value)
             elif key in _FIELD_TYPES and key != "phis":
-                cast = _FIELD_TYPES[key]
+                cast = check_scenario_id if key == "scenario" else _FIELD_TYPES[key]
                 out[key] = _parse_bool(value) if cast is bool else cast(value)
             else:
                 raise DataError(f"{path}: unknown config key {key!r}")

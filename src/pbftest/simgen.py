@@ -14,33 +14,21 @@ import numpy as np
 from ._rng import derive_seed, substream
 from .curves import COEFF, GRID, FunctionalSample, GridSpec, equispaced_grid, make_sample
 
-MU_LINEAR = "linear"  # mu(t) = r * t
-MU_QUADRATIC = "quadratic"  # mu(t) = r * t^2
-MU_EXPONENTIAL = "exponential"  # mu(t) = r * e^t
-
+# the trends mu(t) of gen_shifted_wiener, by name
 _MU_FUNCS = {
-    MU_LINEAR: lambda t: t,
-    MU_QUADRATIC: lambda t: t**2,
-    MU_EXPONENTIAL: np.exp,
+    "linear": lambda t: t,
+    "quadratic": lambda t: t**2,
+    "exponential": np.exp,
 }
-
-SIN_SIDE = "sin"
-COS_SIDE = "cos"
-
-
-def _require_equispaced(grid: GridSpec) -> np.ndarray:
-    t = grid.points
-    steps = np.diff(t)
-    if t[0] != 0.0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("Wiener paths need an equispaced grid starting at 0")
-    return t
 
 
 def gen_wiener(count: int, grid: GridSpec, seed: int) -> np.ndarray:
     """Standard Wiener paths on [0, 1]: zero at t=0, N(0, dt) increments."""
-    t = _require_equispaced(grid)
-    rng = substream(seed)
-    steps = np.sqrt(np.diff(t)) * rng.standard_normal((count, t.size - 1))
+    t = grid.points
+    dt = np.diff(t)
+    if t[0] != 0.0 or not np.allclose(dt, dt[0], rtol=1e-9, atol=1e-12):
+        raise ValueError("Wiener paths need an equispaced grid starting at 0")
+    steps = np.sqrt(dt) * substream(seed).standard_normal((count, t.size - 1))
     values = np.zeros((count, t.size))
     np.cumsum(steps, axis=1, out=values[:, 1:])
     return values
@@ -100,12 +88,12 @@ def gen_sincos(
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    if side not in (SIN_SIDE, COS_SIDE):
+    if side not in ("sin", "cos"):
         raise ValueError(f"unknown side {side!r}")
     rng = substream(seed)
     draws = _draw(dist, rng, (count, d))
     values = np.zeros((count, 2 * d))
-    if side == SIN_SIDE:
+    if side == "sin":
         values[:, :d] = draws / math.sqrt(d)
     else:
         scale = 1.0 if normalized_cos else 1.0 / math.sqrt(2.0)
@@ -161,8 +149,6 @@ def sincos_frame_on_grid(d: int, t: np.ndarray) -> np.ndarray:
     freqs = 2.0 * np.pi * np.outer(np.arange(1, d + 1), t)
     return np.vstack([np.sqrt(2.0) * np.sin(freqs), np.sqrt(2.0) * np.cos(freqs)])
 
-_STD_NORMAL = ("normal", 0.0, 1.0)
-
 
 @dataclass(frozen=True)
 class ScenarioParams:
@@ -174,16 +160,29 @@ class ScenarioParams:
     delta: float = 1.0
 
 
+SCENARIO_IDS = (
+    "ex1", "ex2", "ex3", "ex4i", "ex4ii", "ex5i", "ex5ii",
+    "ex6i", "ex6ii", "ex7", "ex8", "ex9",
+)
+# their second group is a contiguous mixture, drawn by gen_mixture
+MIXTURE_IDS = ("ex7", "ex8", "ex9")
+
+
+def check_scenario_id(scenario_id: str) -> str:
+    """The id itself if it names a scenario, in any case; ValueError otherwise."""
+    if scenario_id.lower() not in SCENARIO_IDS:
+        raise ValueError(f"unknown scenario {scenario_id!r} (one of {', '.join(SCENARIO_IDS)})")
+    return scenario_id
+
+
 @dataclass(frozen=True)
 class Scenario:
     """How to draw the two groups of one experiment."""
 
-    scenario_id: str
     kind: str  # curve representation of both groups
     x_fn: object
     y_fn: object
     grid: GridSpec | None = None
-    description: str = ""
 
 
 def build_scenario(
@@ -193,10 +192,8 @@ def build_scenario(
     normalized_cos: bool = False,
     sampled_on_grid: bool = False,
 ) -> Scenario:
-    """Bind a scenario id and its parameters to concrete generators.
-
-    Known ids: ex1, ex2, ex3, ex4i, ex4ii, ex5i, ex5ii, ex6i, ex6ii, ex7,
-    ex8, ex9.
+    """Bind a scenario id (one of SCENARIO_IDS, any case) and its parameters
+    to concrete generators; README's scenario table describes each id.
 
     `sampled_on_grid` renders the basis scenarios as grid curves instead of
     exact coefficients.  High-frequency modes then alias on the simulation
@@ -206,78 +203,57 @@ def build_scenario(
     """
     params = params or ScenarioParams()
     grid = grid or equispaced_grid()
-    sid = scenario_id.lower()
+    sid = check_scenario_id(scenario_id).lower()
 
-    def wiener(count, seed):
-        return gen_wiener(count, grid, seed)
+    if sid in ("ex1", "ex2", "ex4i", "ex4ii"):
+        def wiener(count, seed):
+            return gen_wiener(count, grid, seed)
 
-    def shifted(mu_kind, r):
-        return lambda count, seed: gen_shifted_wiener(count, mu_kind, r, grid, seed)
+        def shifted(mu_kind, r):
+            return lambda count, seed: gen_shifted_wiener(count, mu_kind, r, grid, seed)
 
-    def basis(dist):
-        return lambda count, seed: gen_basis(count, BASIS_WEIGHTS, dist, seed)
+        if sid == "ex1":
+            return Scenario(GRID, wiener, wiener, grid)
+        if sid == "ex2":
+            trend = shifted("linear", 1.0)
+            return Scenario(GRID, trend, trend, grid)
+        mu_kind = "quadratic" if sid == "ex4i" else "exponential"
+        return Scenario(GRID, wiener, shifted(mu_kind, params.r), grid)
 
     def sincos(side, dist):
         return lambda count, seed: gen_sincos(count, params.d, side, dist, seed, normalized_cos)
 
+    def basis(dist):
+        return lambda count, seed: gen_basis(count, BASIS_WEIGHTS, dist, seed)
+
     def mixture(base, contaminant):
         return lambda count, seed: gen_mixture(count, base, contaminant, params.delta, seed)
 
-    def on_grid(scenario: Scenario) -> Scenario:
-        if not sampled_on_grid or scenario.kind == GRID:
-            return scenario
-        if scenario.scenario_id in ("ex6i", "ex6ii", "ex7"):
-            frame = sincos_frame_on_grid(params.d, grid.points)
-        else:
-            frame = trig_basis_on_grid(BASIS_WEIGHTS.size, grid.points)
+    n01, sd2 = ("normal", 0.0, 1.0), ("normal", 0.0, math.sqrt(2.0))
+    if sid in ("ex6i", "ex6ii", "ex7"):
+        x_fn = sincos("sin", sd2)
+        y_fn = sincos("cos", ("t", 4) if sid == "ex6ii" else sd2)
+        frame, size = sincos_frame_on_grid, params.d
+    else:
+        x_dist, y_dist = {
+            "ex3": (n01, n01),
+            "ex5i": (n01, ("normal", 0.0, params.sigma)),
+            "ex5ii": (("cauchy", 1.0), ("cauchy", params.sigma)),
+            "ex8": (n01, ("normal", 1.0, 1.0)),
+            "ex9": (n01, sd2),
+        }[sid]
+        x_fn, y_fn = basis(x_dist), basis(y_dist)
+        frame, size = trig_basis_on_grid, BASIS_WEIGHTS.size
+    if sid in MIXTURE_IDS:  # X's family, contaminated by the Y family
+        y_fn = mixture(x_fn, y_fn)
+    if not sampled_on_grid:
+        return Scenario(COEFF, x_fn, y_fn)
+    rows = frame(size, grid.points)
 
-        def render(fn):
-            return lambda count, seed: fn(count, seed) @ frame
+    def render(fn):
+        return lambda count, seed: fn(count, seed) @ rows
 
-        return Scenario(
-            scenario.scenario_id, GRID, render(scenario.x_fn), render(scenario.y_fn),
-            grid, scenario.description + " (sampled on grid)",
-        )
-
-    if sid == "ex1":
-        return Scenario(sid, GRID, wiener, wiener, grid, "null: both groups Wiener")
-    if sid == "ex2":
-        f = shifted(MU_LINEAR, 1.0)
-        return Scenario(sid, GRID, f, f, grid, "null: both groups t + Wiener")
-    if sid == "ex3":
-        f = basis(_STD_NORMAL)
-        return on_grid(Scenario(sid, COEFF, f, f, None, "null: both groups weighted Gaussian basis curves"))
-    if sid == "ex4i":
-        return Scenario(sid, GRID, wiener, shifted(MU_QUADRATIC, params.r), grid, "location: r*t^2 trend")
-    if sid == "ex4ii":
-        return Scenario(sid, GRID, wiener, shifted(MU_EXPONENTIAL, params.r), grid, "location: r*e^t trend")
-    if sid == "ex5i":
-        return on_grid(Scenario(
-            sid, COEFF, basis(_STD_NORMAL), basis(("normal", 0.0, params.sigma)), None,
-            "scale: Gaussian coefficient sd sigma",
-        ))
-    if sid == "ex5ii":
-        return on_grid(Scenario(
-            sid, COEFF, basis(("cauchy", 1.0)), basis(("cauchy", params.sigma)), None,
-            "scale: Cauchy coefficient scale sigma",
-        ))
-    if sid in ("ex6i", "ex6ii"):
-        sd = math.sqrt(2.0)
-        y_dist = ("normal", 0.0, sd) if sid == "ex6i" else ("t", 4)
-        return on_grid(Scenario(
-            sid, COEFF, sincos(SIN_SIDE, ("normal", 0.0, sd)), sincos(COS_SIDE, y_dist), None,
-            "orthogonal bases: sine group vs cosine group",
-        ))
-    if sid == "ex7":
-        base = sincos(SIN_SIDE, ("normal", 0.0, math.sqrt(2.0)))
-        mixed = mixture(base, sincos(COS_SIDE, ("normal", 0.0, math.sqrt(2.0))))
-        return on_grid(Scenario(sid, COEFF, base, mixed, None, "contiguous mixture of sine and cosine groups"))
-    if sid in ("ex8", "ex9"):
-        base = basis(_STD_NORMAL)
-        cont_dist = ("normal", 1.0, 1.0) if sid == "ex8" else ("normal", 0.0, math.sqrt(2.0))
-        mixed = mixture(base, basis(cont_dist))
-        return on_grid(Scenario(sid, COEFF, base, mixed, None, "contiguous mixture of basis families"))
-    raise ValueError(f"unknown scenario {scenario_id!r}")
+    return Scenario(GRID, render(x_fn), render(y_fn), grid)
 
 
 def generate_pair(scenario: Scenario, n: int, m: int, seed: int) -> FunctionalSample:
@@ -286,10 +262,3 @@ def generate_pair(scenario: Scenario, n: int, m: int, seed: int) -> FunctionalSa
     y_values = scenario.y_fn(m, derive_seed(seed, 202))
     return make_sample(x_values, y_values, scenario.kind, scenario.grid)
 
-
-SCENARIO_IDS = (
-    "ex1", "ex2", "ex3", "ex4i", "ex4ii", "ex5i", "ex5ii",
-    "ex6i", "ex6ii", "ex7", "ex8", "ex9",
-)
-# their second group is a contiguous mixture, drawn by gen_mixture
-MIXTURE_IDS = ("ex7", "ex8", "ex9")

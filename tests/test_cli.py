@@ -11,6 +11,7 @@ import tempfile
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -401,6 +402,44 @@ def test_bad_d_or_workers_exits_before_running(tmp_path, capsys):
         assert (code, out) == (1, ""), argv
         assert message in err and "replication" not in err
         assert not ledger.exists()
+
+
+def test_unknown_scenario_exits_before_running(tmp_path, capsys):
+    # as a flag: exit 1; in a config file: exit 2 naming the file and line;
+    # either way before a worker pool starts or a replication runs
+    cfg, ledger = tmp_path / "run.cfg", tmp_path / "ledger.csv"
+    cfg.write_text("n=8\nscenario=ex99\n")
+    study = ("--n", "8", "--m", "8", "--b", "20", "--reps", "4", "--seed", "1", "--threads", "2",
+             "--out", str(ledger))
+    for argv, exit_code, message in (
+        (["power", "--scenario", "ex99", *study], 1, "error: unknown scenario 'ex99'"),
+        (["power", "--config", str(cfg), *study], 2, f"data error: {cfg}: line 2: bad value for scenario"),
+        (["simulate", "--scenario", "ex99", "--out-x", str(ledger)], 1, "error: unknown scenario 'ex99'"),
+    ):
+        with mock.patch("concurrent.futures.ProcessPoolExecutor") as pool:
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (exit_code, ""), argv
+        assert message in err and "replication" not in err
+        assert not pool.called and not ledger.exists()
+
+
+@pytest.mark.parametrize("command", ["power", "sweep", "simulate"])
+def test_unwritable_output_exits_before_running(tmp_path, capsys, command):
+    # an output path in a missing folder, or one that is a folder, is one error
+    # line naming it: exit 1, nothing on stdout, no replication run, no file made
+    study = ("--scenario", "ex1", "--n", "5", "--m", "5", "--b", "9", "--reps", "3", "--seed", "1", "--json")
+    for bad in (tmp_path / "no" / "such" / "x.csv", tmp_path):
+        argv = {
+            "power": ["power", *study, "--out", str(bad)],
+            "sweep": ["sweep", *study, "--param", "r", "--values", "0,1", "--out", str(bad)],
+            "simulate": ["simulate", "--scenario", "ex1", "--count", "5", "--seed", "1",
+                         "--out-x", str(tmp_path / "x.csv"), "--out-y", str(bad)],
+        }[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), bad
+        assert err.count("error:") == 1 and f"error: cannot write {bad}" in err
+        assert "replication" not in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["test", "power", "sweep", "simulate", "spectrum"])

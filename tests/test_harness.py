@@ -43,6 +43,9 @@ def test_config_validation():
         ScenarioConfig(scenario="ex6i", n=10, m=10, d=0)
     with pytest.raises(ValueError, match="workers must be at least 0"):
         ScenarioConfig(scenario="ex1", n=10, m=10, workers=-2)
+    with pytest.raises(ValueError, match="unknown scenario 'ex99'"):
+        ScenarioConfig(scenario="ex99", n=10, m=10)
+    ScenarioConfig(scenario="EX4i", n=10, m=10)  # any case, as build_scenario
     assert ScenarioConfig(scenario="ex1", n=10, m=10, workers=0).workers == 0  # auto
     cfg = ScenarioConfig(scenario="ex1", n=5, m=5, phis=("l2", "exp"))
     assert cfg.phis == (PhiKind.L2, PhiKind.EXP)
@@ -231,7 +234,10 @@ def test_config_file_round_trip(tmp_path):
     assert read_config_file(flags) == {
         "normalized_cos": True, "sampled_on_grid": False, "workers": 2,
     }
-    for text in ("n=abc", "phi=foo", "phi=,", "phi=", "normalized_cos=maybe", "alpha=", "B=3.5"):
+    path.write_text("scenario=Ex5II\n")
+    assert read_config_file(path)["scenario"].lower() == "ex5ii"
+    for text in ("n=abc", "phi=foo", "phi=,", "phi=", "normalized_cos=maybe", "alpha=", "B=3.5",
+                 "scenario=ex99", "scenario="):
         bad_value = tmp_path / "bad_value.cfg"
         bad_value.write_text(f"scenario=ex1\n{text}\n")
         with pytest.raises(DataError, match=r"bad_value\.cfg: line 2"):

@@ -17,6 +17,7 @@ from pbftest import (
     gen_wiener,
     generate_pair,
 )
+from pbftest.simgen import MIXTURE_IDS, sincos_frame_on_grid, trig_basis_on_grid
 
 GRID = equispaced_grid(101)
 
@@ -199,7 +200,7 @@ def test_trig_basis_orthonormal_under_quadrature():
 
 
 def test_sampled_on_grid_rendering_consistency():
-    from pbftest.simgen import sincos_frame_on_grid, trig_basis_on_grid
+    from pbftest.simgen import MIXTURE_IDS, sincos_frame_on_grid, trig_basis_on_grid
 
     coeff = build_scenario("ex6i", ScenarioParams(d=5))
     rendered = build_scenario("ex6i", ScenarioParams(d=5), sampled_on_grid=True)
@@ -235,3 +236,78 @@ def test_scenario_pair_determinism():
     s1 = generate_pair(scenario, 6, 6, seed=77)
     s2 = generate_pair(scenario, 6, 6, seed=77)
     assert np.array_equal(s1.values, s2.values)
+
+
+SPEC_GRID = equispaced_grid(51)
+
+
+def _scenario_spec(p):
+    """Each scenario's X and Y generators, as README's scenario table states them.
+
+    A generator is (name, *arguments): ("wiener",), ("shifted", trend, r),
+    ("basis", dist), ("sincos", side, dist) or ("mixture", base, contaminant),
+    drawn by `_draw_spec`.
+    """
+    n01, n02 = ("normal", 0.0, 1.0), ("normal", 0.0, math.sqrt(2.0))
+    sine = ("sincos", "sin", n02)
+    return {
+        "ex1": (("wiener",), ("wiener",)),
+        "ex2": (("shifted", "linear", 1.0), ("shifted", "linear", 1.0)),
+        "ex3": (("basis", n01), ("basis", n01)),
+        "ex4i": (("wiener",), ("shifted", "quadratic", p.r)),
+        "ex4ii": (("wiener",), ("shifted", "exponential", p.r)),
+        "ex5i": (("basis", n01), ("basis", ("normal", 0.0, p.sigma))),
+        "ex5ii": (("basis", ("cauchy", 1.0)), ("basis", ("cauchy", p.sigma))),
+        "ex6i": (sine, ("sincos", "cos", n02)),
+        "ex6ii": (sine, ("sincos", "cos", ("t", 4))),
+        "ex7": (sine, ("mixture", sine, ("sincos", "cos", n02))),
+        "ex8": (("basis", n01), ("mixture", ("basis", n01), ("basis", ("normal", 1.0, 1.0)))),
+        "ex9": (("basis", n01), ("mixture", ("basis", n01), ("basis", n02))),
+    }
+
+
+def _draw_spec(spec, count, seed, p, normalized_cos):
+    name, *args = spec
+    if name == "wiener":
+        return gen_wiener(count, SPEC_GRID, seed)
+    if name == "shifted":
+        return gen_shifted_wiener(count, *args, SPEC_GRID, seed)
+    if name == "basis":
+        return gen_basis(count, BASIS_WEIGHTS, *args, seed)
+    if name == "sincos":
+        return gen_sincos(count, p.d, *args, seed, normalized_cos)
+    base, contaminant = (
+        lambda c, s, part=part: _draw_spec(part, c, s, p, normalized_cos) for part in args
+    )
+    return gen_mixture(count, base, contaminant, p.delta, seed)
+
+
+@pytest.mark.parametrize("normalized_cos", [False, True])
+@pytest.mark.parametrize(
+    "params", [ScenarioParams(), ScenarioParams(r=0.3, sigma=1.5, d=7, delta=2.0)], ids=repr
+)
+def test_scenarios_draw_their_specified_generators(params, normalized_cos):
+    # bit for bit, in both representations; a rendered scenario is its
+    # coefficient draw times its frame on the grid, and Wiener ones ignore the flag
+    spec = _scenario_spec(params)
+    assert tuple(spec) == SCENARIO_IDS
+    assert tuple(sid for sid, (_, y) in spec.items() if y[0] == "mixture") == MIXTURE_IDS
+    t = SPEC_GRID.points
+    frames = {"basis": trig_basis_on_grid(9, t), "sincos": sincos_frame_on_grid(params.d, t)}
+    n, m, seed = 7, 12, 2024
+    for sid, (x_spec, y_spec) in spec.items():
+        x = _draw_spec(x_spec, n, seed, params, normalized_cos)
+        y = _draw_spec(y_spec, m, seed + 1, params, normalized_cos)
+        coeff = build_scenario(sid, params, SPEC_GRID, normalized_cos)
+        rendered = build_scenario(sid, params, SPEC_GRID, normalized_cos, sampled_on_grid=True)
+        assert np.array_equal(coeff.x_fn(n, seed), x), sid
+        assert np.array_equal(coeff.y_fn(m, seed + 1), y), sid
+        frame = frames.get(x_spec[0])
+        if frame is None:
+            assert coeff.kind == "grid" and coeff.grid is SPEC_GRID
+        else:
+            assert coeff.kind == "coeff" and coeff.grid is None
+            x, y = x @ frame, y @ frame
+        assert rendered.kind == "grid" and rendered.grid is SPEC_GRID
+        assert np.array_equal(rendered.x_fn(n, seed), x), sid
+        assert np.array_equal(rendered.y_fn(m, seed + 1), y), sid

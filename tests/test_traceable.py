@@ -3,12 +3,14 @@
 `perfbench/layers.py` wraps package functions by name in their callers'
 modules.  A wrapped name that stays importable there but is no longer called
 reads 0, and a traced benchmark run then reports that zero as a measurement.
+A wrapped name that is gone reads absent, and its metrics go unreported.
 This runs a small sweep, `pbftest test` on files with a missing cell and
-`pbftest spectrum` under the benchmark's tracer, and requires every metric it
-reports to be finite and above 0.  It also runs the benchmark's own output
-checks on two cycles of each benchmarked workload, so an output the benchmark
-would judge incorrect fails here first.  perfbench itself is imported, not
-edited.
+`pbftest spectrum` under the benchmark's tracer.  It requires no wrapped name
+to be absent, every per-layer metric that `BENCHMARK.json` declares to be
+reported, and each to be finite and above 0.  It also runs the benchmark's
+own output checks on two cycles of each benchmarked workload, so an output
+the benchmark would judge incorrect fails here first.  perfbench and
+`BENCHMARK.json` are read, not edited.
 """
 
 import json
@@ -39,8 +41,10 @@ def test_every_traced_metric_is_positive(tmp_path, capsys):
         run_sweep(config, "r", [0.5])
         assert cli.main(["test", str(x), str(y), "--b", "9", "--seed", "1"]) == 0
         assert cli.main(["spectrum", "--input", str(x), "--draws", "50", "--seed", "1"]) == 0
+    assert tracer.absent == []
     reported = layers.metrics(tracer, 1)
-    assert reported
+    per_layer = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(reported) | {"trace.overhead_pct"} == {metric["name"] for metric in per_layer}
     not_positive = {name: v for name, (v, _) in reported.items() if not (math.isfinite(v) and v > 0)}
     assert not not_positive, not_positive
 
