@@ -49,8 +49,6 @@ from .simgen import (
 from .spectrum import (
     KernelSpectrum,
     LimitShift,
-    double_center,
-    empirical_h_matrix,
     sample_limit_law,
     spectrum_estimate,
     spectrum_from_kernel_matrix,

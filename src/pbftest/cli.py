@@ -215,6 +215,8 @@ def cmd_simulate(args) -> int:
     settings["seed"] = _effective_seed(settings.get("seed"))
     config = ScenarioConfig(**settings)
     _check_writable(args.out_x, args.out_y)
+    if os.path.realpath(args.out_x) == os.path.realpath(args.out_y):
+        raise UsageError(f"--out-x and --out-y name one file: {args.out_x}, {args.out_y}")
     sample = generate_pair(config.scenario_obj(), config.n, config.m, config.seed)
     write_curves_csv(args.out_x, sample.values[sample.labels == 0])
     write_curves_csv(args.out_y, sample.values[sample.labels == 1])

@@ -66,7 +66,7 @@ class ScenarioConfig:
     workers: int = 1
 
     def __post_init__(self):
-        check_scenario_id(self.scenario)
+        object.__setattr__(self, "scenario", check_scenario_id(self.scenario))  # one id per scenario
         _check_reps_alpha(self.reps, self.alpha)
         if self.B < 1:
             raise ValueError("B must be at least 1")
@@ -77,7 +77,7 @@ class ScenarioConfig:
         for name in ("r", "sigma", "delta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.scenario.lower() in MIXTURE_IDS:
+        if self.scenario in MIXTURE_IDS:
             mixture_rate(self.delta, self.m)  # so a sweep fails before its first point runs
         if self.workers < 0:
             raise ValueError("workers must be at least 0 (0 uses every core)")

@@ -169,10 +169,10 @@ MIXTURE_IDS = ("ex7", "ex8", "ex9")
 
 
 def check_scenario_id(scenario_id: str) -> str:
-    """The id itself if it names a scenario, in any case; ValueError otherwise."""
+    """The id in lower case if it names a scenario, in any case; ValueError otherwise."""
     if scenario_id.lower() not in SCENARIO_IDS:
         raise ValueError(f"unknown scenario {scenario_id!r} (one of {', '.join(SCENARIO_IDS)})")
-    return scenario_id
+    return scenario_id.lower()
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,7 @@ def build_scenario(
     """
     params = params or ScenarioParams()
     grid = grid or equispaced_grid()
-    sid = check_scenario_id(scenario_id).lower()
+    sid = check_scenario_id(scenario_id)
 
     if sid in ("ex1", "ex2", "ex4i", "ex4ii"):
         def wiener(count, seed):

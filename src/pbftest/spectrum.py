@@ -15,7 +15,7 @@ import numpy as np
 
 from ._rng import substream
 from .curves import NumericalError, _as_gram
-from .statistic import PhiKind, _pairs, _phi_sums
+from .statistic import PhiKind, _centered_distance, _phi_sums
 
 _TRUNCATION_RATIO = 1e-12
 # Draws per block in sample_limit_law, few enough for the block to stay in cache.
@@ -45,39 +45,6 @@ class LimitShift:
     def per_component(self) -> np.ndarray:
         means = np.asarray(self.eigenfunction_means, dtype=float)
         return np.sqrt(self.mixture_ratio) * self.delta * means
-
-
-def double_center(mat: np.ndarray) -> np.ndarray:
-    """Subtract row means, column means and add the grand mean back."""
-    mat = np.asarray(mat, dtype=float)
-    row = mat.mean(axis=1, keepdims=True)
-    col = mat.mean(axis=0, keepdims=True)
-    return mat - row - col + mat.mean()
-
-
-def direction_averaged_distance(G, kind: PhiKind) -> np.ndarray:
-    """Matrix of phi((p_a - p_b)^2) averaged over all pooled directions."""
-    entries = _as_gram(G)
-    kind = PhiKind(kind)
-    N = entries.shape[0]
-    dist = np.zeros((N, N))
-    dist[_pairs(N)] = _phi_sums(entries, kind)
-    return (dist + dist.T) / N
-
-
-def empirical_h_matrix(G, kind: PhiKind) -> np.ndarray:
-    """Empirical degenerate kernel matrix of a null (pooled) sample.
-
-    Expectations over the reference distribution are replaced by averages
-    over the pooled sample, and the result is doubly centered so its rows,
-    columns and grand mean vanish; the additive per-argument terms of the
-    population kernel are annihilated by that centering, leaving minus the
-    centered direction-averaged distance.  Returned exactly symmetric.
-    """
-    dist = direction_averaged_distance(G, kind)
-    h = -double_center(dist)
-    upper = np.triu(h)
-    return upper + np.triu(h, 1).T
 
 
 def spectrum_from_kernel_matrix(h: np.ndarray) -> KernelSpectrum:
@@ -115,10 +82,13 @@ def spectrum_estimate(G, kind: PhiKind) -> KernelSpectrum:
         KernelSpectrum with nonincreasing eigenvalues.
     """
     entries = _as_gram(G)
-    if entries.shape[0] < 3:
+    N = entries.shape[0]
+    if N < 3:
         raise ValueError("spectrum estimation needs at least 3 observations")
+    # The empirical degenerate kernel: the pooled sample stands in for the
+    # reference law, and the centering annihilates the additive terms.
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite h raises below
-        h = empirical_h_matrix(entries, kind)
+        h = _centered_distance(_phi_sums(entries, PhiKind(kind)), N) / -N
     return spectrum_from_kernel_matrix(h)
 
 

@@ -157,7 +157,7 @@ def batch_statistics(entries: np.ndarray, amat: np.ndarray, kind: PhiKind) -> np
             phi -= level
             t_stat += _pair_weights(flags, start, stop, n, m).T @ phi
     y = np.where(amat == 1.0, 1.0 / n, -1.0 / m)
-    zeta = _quadratic(summed, y, n, m) / (2.0 * m)
+    zeta = -np.einsum("lk,lk->l", y @ _centered_distance(summed, N), y) / (2.0 * m)
     if excess:
         zeta += excess * np.einsum("lc,lc->l", amat, t_stat + (1.0 / n + 1.0 / m) * level)
     return zeta
@@ -198,22 +198,6 @@ def _pair_weights(flags: np.ndarray, start: int, stop: int, n: int, m: int) -> n
     return table[flags[iu[start:stop]] + flags[ju[start:stop]]]
 
 
-def _quadratic(dist: np.ndarray, y: np.ndarray, n: int, m: int) -> np.ndarray:
-    """-y_l' D y_l for each row of y (L x N): the 1-d statistic of the pair
-    values `dist` (P), with D symmetric, `dist` off its zero diagonal.
-
-    D is centered on its mean pair value first: each row of y sums to 0 and
-    its squares to 1/n + 1/m, so the mean comes back as a constant and the
-    quadratic form cancels on the spread of D, not its level.
-    """
-    N = y.shape[1]
-    level = dist.mean()
-    centered = np.zeros((N, N))
-    centered[_pairs(N)] = dist - level
-    centered += centered.T
-    return level * (1.0 / n + 1.0 / m) - np.einsum("lk,lk->l", y @ centered, y)
-
-
 def _pair_blocks(cols: np.ndarray, kind: PhiKind):
     """Yield (start, block): phi((p_j - p_k)^2) for the pairs start, start+1, ...
     of the distinct pairs j < k in `_pairs` order; N x c -> P_b x c.
@@ -236,6 +220,25 @@ def _pair_blocks(cols: np.ndarray, kind: PhiKind):
             yield start, np.multiply(np.abs(block, out=block), 0.5, out=block)
         else:
             yield start, _PHI_ARRAY[kind](np.square(block, out=block))
+
+
+def _centered_distance(summed: np.ndarray, N: int) -> np.ndarray:
+    """The N x N matrix D of the pair values `summed` (P, in `_pairs` order)
+    with a zero diagonal, doubly centered: C = D - (r_j + r_k) + mean(r), r
+    the column means of D.  Exactly symmetric.
+
+    Every y with sum 0 has y'Cy = y'Dy; the limit law's spectrum is that of
+    -C / N^2.  A constant, which the centering annihilates, is taken out
+    first, so the subtractions cancel on the spread of D, not its level.
+    """
+    dist = np.zeros((N, N))
+    dist[_pairs(N)] = summed
+    dist += dist.T
+    dist -= summed.mean()
+    r = dist.mean(axis=0)
+    dist -= r[:, None] + r
+    dist += r.mean()
+    return dist
 
 
 def _phi_sums(cols: np.ndarray, kind: PhiKind) -> np.ndarray:

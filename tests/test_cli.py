@@ -164,6 +164,18 @@ def test_simulate_round_trip_and_determinism(tmp_path, capsys):
     assert payload["n"] == 5 and payload["m"] == 5 and payload["B"] == 99
 
 
+def test_simulate_refuses_one_file_for_both_groups(tmp_path, capsys, monkeypatch):
+    # two spellings of one path would write y over x: exit 1, one error line, no file
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        capsys, "simulate", "--scenario", "ex1", "--count", "3", "--seed", "1",
+        "--out-x", "a.csv", "--out-y", "./a.csv",
+    )
+    assert (code, out) == (1, "")
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_coeff_round_trip(tmp_path, capsys):
     x, y = tmp_path / "x.csv", tmp_path / "y.csv"
     code, _, _ = run_cli(
@@ -208,6 +220,20 @@ def test_power_writes_ledger_and_json(tmp_path, capsys):
     assert out == ""
     assert "phi" in err
     assert not empty.exists()
+
+
+def test_scenario_id_is_recorded_in_lower_case(tmp_path, capsys):
+    # EX1 and ex1 name one scenario, so one ledger gets one id for them
+    ledger = tmp_path / "ledger.csv"
+    for scenario in ("EX1", "ex1"):
+        code, out, _ = run_cli(
+            capsys, "power", "--scenario", scenario, "--n", "5", "--m", "5", "--b", "9",
+            "--reps", "2", "--seed", "1", "--out", str(ledger), "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["config"]["scenario"] == "ex1"
+    with open(ledger, newline="") as fh:
+        assert [row["scenario"] for row in csv.DictReader(fh)] == ["ex1", "ex1"]
 
 
 def test_power_config_file_with_flag_override(tmp_path, capsys):
@@ -458,13 +484,13 @@ def test_oversized_count_is_one_error_line(tmp_path, capsys, command, size):
         "power": ["power", *study, "--b", size],
         "sweep": ["sweep", *study, "--b", "10", "--param", "B", "--values", size],
         "simulate": ["simulate", "--scenario", "ex1", "--count", size, "--seed", "1",
-                     "--out-x", str(ledger), "--out-y", str(ledger)],
+                     "--out-x", str(tmp_path / "sx.csv"), "--out-y", str(ledger)],
         "spectrum": ["spectrum", "--input", str(x), "--draws", size, "--seed", "1"],
     }[command]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.count("error:") == 1 and "Traceback" not in err and "replication" not in err
-    assert not ledger.exists()
+    assert not ledger.exists() and not (tmp_path / "sx.csv").exists()
 
 
 def test_header_files_must_share_abscissae(tmp_path, capsys):

@@ -8,9 +8,9 @@ This runs a small sweep, `pbftest test` on files with a missing cell and
 `pbftest spectrum` under the benchmark's tracer.  It requires no wrapped name
 to be absent, every per-layer metric that `BENCHMARK.json` declares to be
 reported, and each to be finite and above 0.  It also runs the benchmark's
-own output checks on two cycles of each benchmarked workload, so an output
-the benchmark would judge incorrect fails here first.  perfbench and
-`BENCHMARK.json` are read, not edited.
+own output checks on every 10th recorded cycle of each benchmarked
+workload, so an output the benchmark would judge incorrect fails here
+first.  perfbench and `BENCHMARK.json` are read, not edited.
 """
 
 import json
@@ -56,8 +56,11 @@ def test_benchmark_output_checks_pass(name, tmp_path):
         workloads.WORKLOADS[name], recorded["seed"], tmp_path, recorded["workloads"][name]
     )
     session.warmup()
-    session.cycle(0)
-    session.cycle(1)
+    # a spread of the recorded cycles, so a change to the last bits of a late
+    # cycle's output fails here too; each cycle draws from its own seed
+    cycles = range(0, len(recorded["workloads"][name]), 10)
+    for k in cycles:
+        session.cycle(k)
     session.oracle_checks()
     assert session.stats.failed == 0, session.stats.errors
-    assert session.stats.checked_against_record == 2
+    assert session.stats.checked_against_record == len(cycles)
