@@ -15,7 +15,6 @@ from .curves import (
     NumericalError,
     equispaced_grid,
     gram,
-    gram_call_count,
     gram_entries,
     make_sample,
     read_curves_csv,
@@ -29,7 +28,6 @@ from .harness import (
     read_config_file,
     run_power,
     run_single_replication,
-    run_subsample_power,
     run_sweep,
 )
 from .permute import TestResult, permutation_test
@@ -48,7 +46,6 @@ from .simgen import (
 )
 from .spectrum import (
     KernelSpectrum,
-    LimitShift,
     sample_limit_law,
     spectrum_estimate,
     spectrum_from_kernel_matrix,

@@ -25,15 +25,6 @@ class NumericalError(Exception):
     """Raised when a numerical routine fails to converge or overflows."""
 
 
-# Incremented by gram(); lets tests assert how many Gram computations a
-# calibration run performed.
-_gram_calls = 0
-
-
-def gram_call_count() -> int:
-    return _gram_calls
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Shared abscissae of grid-sampled curves; inner products use the trapezoid rule."""
@@ -167,8 +158,6 @@ def gram_entries(values: np.ndarray, kind: str = GRID, grid: GridSpec | None = N
 
 def gram(sample: FunctionalSample) -> np.ndarray:
     """N x N Gram matrix of the pooled sample: with the labels, all the statistic needs."""
-    global _gram_calls
-    _gram_calls += 1
     return gram_entries(sample.values, sample.kind, sample.grid)
 
 
@@ -204,8 +193,8 @@ def _read_rows(path, header: bool, finite: bool = True):
     splits them, unless a quote, a NUL or another `\\r` sends the text to
     csv.reader.  Not splitlines(): csv keeps `\\x0b`, `\\x85`, ... in a cell.
     """
-    try:
-        with open(path, newline="") as fh:
+    try:  # utf-8-sig drops the byte-order mark of a spreadsheet's "CSV UTF-8"
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

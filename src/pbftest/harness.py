@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from ._rng import derive_seed, substream
+from ._rng import derive_seed
 from .curves import (
     COEFF,
     GRID,
@@ -35,13 +35,6 @@ from .statistic import PhiKind
 LEDGER_COLUMNS = (
     "scenario", "param", "value", "phi", "reps", "rejections", "rate", "stderr", "seed",
 )
-
-
-def _check_reps_alpha(reps: int, alpha: float) -> None:
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True)
@@ -67,7 +60,10 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scenario", check_scenario_id(self.scenario))  # one id per scenario
-        _check_reps_alpha(self.reps, self.alpha)
+        if self.reps < 1:
+            raise ValueError("reps must be at least 1")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie strictly between 0 and 1")
         if self.B < 1:
             raise ValueError("B must be at least 1")
         if self.n < 1 or self.m < 1:
@@ -122,19 +118,19 @@ class PowerEstimate:
 
 
 def run_single_replication(config: ScenarioConfig, rep_index: int) -> dict:
-    """One replication: fresh sample, one permutation test per phi.
+    """One replication: fresh sample, then per phi whether its permutation test
+    rejects at level alpha (p <= alpha).
 
     Deterministic in (config.seed, rep_index); re-running any index in
     isolation reproduces its decisions bit-for-bit.
     """
     rep_seed = derive_seed(config.seed, rep_index)
     sample = generate_pair(config.scenario_obj(), config.n, config.m, derive_seed(rep_seed, 0))
-    return _decisions(sample, config.phis, config.B, config.alpha, derive_seed(rep_seed, 1))
-
-
-def _decisions(sample: FunctionalSample, phis: tuple, B: int, alpha: float, seed: int) -> dict:
-    """Per phi, whether the permutation test rejects at level alpha (p <= alpha)."""
-    return {phi: permutation_test(sample, phi, B=B, seed=seed).p_value <= alpha for phi in phis}
+    seed = derive_seed(rep_seed, 1)  # every phi tests the same relabelings
+    return {
+        phi: permutation_test(sample, phi, B=config.B, seed=seed).p_value <= config.alpha
+        for phi in config.phis
+    }
 
 
 try:  # numpy's bundled OpenBLAS; dlsym also searches the extension's dependencies
@@ -258,44 +254,6 @@ def append_ledger(path, rows: list[dict]) -> None:
             writer.writerow(row)
 
 
-def _subsample_replication(sample, n_sub, m_sub, phis, B, alpha, seed, index) -> dict:
-    """Replication `index` of run_subsample_power: a stratified subsample and its decisions."""
-    rng = substream(derive_seed(seed, index))
-    keep_x = rng.choice(np.flatnonzero(sample.labels == 0), size=n_sub, replace=False)
-    keep_y = rng.choice(np.flatnonzero(sample.labels == 1), size=m_sub, replace=False)
-    sub = make_sample(sample.values[keep_x], sample.values[keep_y], sample.kind, sample.grid)
-    return _decisions(sub, phis, B, alpha, derive_seed(seed, 10_000_000 + index))
-
-
-def run_subsample_power(
-    sample: FunctionalSample,
-    pooled_size: int,
-    reps: int,
-    kind: PhiKind,
-    B: int = 300,
-    alpha: float = 0.05,
-    seed: int = 0,
-) -> PowerEstimate:
-    """Power over stratified subsamples of a fixed dataset.
-
-    Each replication draws, without replacement, a subsample of the given
-    pooled size whose group split preserves the original proportions, then
-    runs the permutation test on it.  Raises ValueError for reps < 1, alpha
-    outside (0, 1), pooled_size < 2, or a group too small for its share.
-    """
-    _check_reps_alpha(reps, alpha)
-    if pooled_size < 2:
-        raise ValueError("pooled_size must be at least 2")
-    phis = (PhiKind(kind),)
-    n_sub = round(pooled_size * sample.n / (sample.n + sample.m))
-    n_sub = min(max(n_sub, 1), pooled_size - 1)
-    m_sub = pooled_size - n_sub
-    if n_sub > sample.n or m_sub > sample.m:
-        raise ValueError("pooled_size too large for the available groups")
-    replicate = functools.partial(_subsample_replication, sample, n_sub, m_sub, phis, B, alpha, seed)
-    return _study(replicate, reps, phis, 1, None)[phis[0]]
-
-
 def ingest_pair(
     x_path,
     y_path,
@@ -368,7 +326,7 @@ def read_config_file(path) -> dict:
     """
     out = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
             lines = fh.readlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

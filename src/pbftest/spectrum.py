@@ -4,8 +4,7 @@ Under the null, the scaled statistic converges to sum_k lambda_k Z_k^2 where
 the lambda_k are eigenvalues of a degenerate (doubly centered) kernel built
 from the direction-averaged phi-distance between observations.  This module
 estimates that spectrum from a null Gram matrix and Monte-Carlo samples the
-limit law, optionally with the mean shifts that appear under contiguous
-alternatives.  Diagnostic only: test decisions always come from the
+limit law.  Diagnostic only: test decisions always come from the
 permutation calibration.
 """
 
@@ -27,24 +26,6 @@ class KernelSpectrum:
     """Estimated eigenvalues of the limiting kernel, largest first."""
 
     eigenvalues: np.ndarray
-
-
-@dataclass(frozen=True)
-class LimitShift:
-    """Mean shift of the limit law under a contiguous mixture alternative.
-
-    Per eigenfunction k the shift is sqrt(mixture_ratio) * delta *
-    eigenfunction_means[k], where the means are the integrals of the k-th
-    eigenfunction under the contaminant minus the base distribution.
-    """
-
-    delta: float
-    mixture_ratio: float
-    eigenfunction_means: np.ndarray
-
-    def per_component(self) -> np.ndarray:
-        means = np.asarray(self.eigenfunction_means, dtype=float)
-        return np.sqrt(self.mixture_ratio) * self.delta * means
 
 
 def spectrum_from_kernel_matrix(h: np.ndarray) -> KernelSpectrum:
@@ -92,35 +73,17 @@ def spectrum_estimate(G, kind: PhiKind) -> KernelSpectrum:
     return spectrum_from_kernel_matrix(h)
 
 
-def sample_limit_law(
-    spec: KernelSpectrum,
-    draws: int,
-    shift: "LimitShift | np.ndarray | None" = None,
-    seed: int = 0,
-) -> np.ndarray:
-    """Monte-Carlo draws of sum_k lambda_k (xi_k + shift_k)^2.
-
-    With no shift this samples the null limit; with a LimitShift (or an
-    explicit per-component shift vector) it samples the limit under the
-    corresponding contiguous alternative.
-    """
+def sample_limit_law(spec: KernelSpectrum, draws: int, seed: int = 0) -> np.ndarray:
+    """Monte-Carlo draws of the null limit sum_k lambda_k xi_k^2, xi_k iid N(0, 1)."""
     if draws < 1:
         raise ValueError("draws must be at least 1")
     lam = np.asarray(spec.eigenvalues, dtype=float)
     if lam.size == 0:
         return np.zeros(draws)
-    if shift is None:
-        shifts = None
-    else:
-        shifts = shift.per_component() if isinstance(shift, LimitShift) else np.asarray(shift, float)
-        if shifts.shape != lam.shape:
-            raise ValueError("shift vector length must match the eigenvalue count")
     rng = substream(seed)
     out = np.empty(draws)
     block = np.empty((min(draws, _DRAW_BLOCK), lam.size))
     for start in range(0, draws, _DRAW_BLOCK):
         xi = rng.standard_normal(out=block[: min(_DRAW_BLOCK, draws - start)])
-        if shifts is not None:
-            xi += shifts
         out[start : start + len(xi)] = np.square(xi, out=xi) @ lam
     return out

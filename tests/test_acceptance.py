@@ -20,7 +20,6 @@ from pbftest import (
     equispaced_grid,
     generate_pair,
     gram,
-    gram_call_count,
     gram_entries,
     make_sample,
     pbf_statistic,
@@ -30,6 +29,7 @@ from pbftest import (
     sample_limit_law,
     spectrum_estimate,
 )
+from pbftest import permute
 from pbftest._rng import derive_seed
 
 from instances import random_instance
@@ -269,14 +269,15 @@ def test_criterion_10_spectral_diagnostic():
         f"95th pct perm {q_perm:.4f} vs limit {q_limit:.4f} (rel {rel:.2%}); KS {ks:.3f}",
     )
 
-def test_criterion_11_performance():
+def test_criterion_11_performance(monkeypatch):
     scenario = build_scenario("ex1")
     sample = generate_pair(scenario, 100, 100, seed=1101)
-    before = gram_call_count()
+    calls = []
+    monkeypatch.setattr(permute, "gram", lambda s: calls.append(s) or gram(s))
     start = time.time()
     result = permutation_test(sample, PhiKind.EXP, B=500, seed=1101)
     elapsed = time.time() - start
-    gram_calls = gram_call_count() - before
+    gram_calls = len(calls)
     _report(
         "criterion 11 (performance)",
         elapsed <= 10.0 and gram_calls == 1,

@@ -655,6 +655,47 @@ def test_undecodable_input_is_data_error(tmp_path, capsys):
     assert not ledger.exists()
 
 
+def _with_byte_order_mark(path: Path) -> Path:
+    marked = path.with_name(f"bom_{path.name}")
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return marked
+
+
+def test_byte_order_mark_curve_files_read_as_plain(tmp_path, capsys):
+    # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark:
+    # curve, header and grid files give the output they give without one
+    rng = np.random.default_rng(12)
+    x, y, grid = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "grid.csv"
+    np.savetxt(x, rng.standard_normal((6, 5)), delimiter=",")
+    np.savetxt(y, rng.standard_normal((6, 5)), delimiter=",")
+    grid.write_text("0,0.1,0.5,0.7,1\n")
+    hx, hy = tmp_path / "hx.csv", tmp_path / "hy.csv"
+    hx.write_text(grid.read_text() + x.read_text())
+    hy.write_text(grid.read_text() + y.read_text())
+    bx, by, bgrid, bhx, bhy = map(_with_byte_order_mark, (x, y, grid, hx, hy))
+    for plain, marked in (
+        (["test", x, y], ["test", bx, by]),
+        (["test", x, y, "--grid", grid], ["test", x, y, "--grid", bgrid]),
+        (["test", hx, hy, "--header"], ["test", bhx, bhy, "--header"]),
+        (["spectrum", "--input", x], ["spectrum", "--input", bx]),
+        (["spectrum", "--input", hx, "--header"], ["spectrum", "--input", bhx, "--header"]),
+    ):
+        flags = ("--b", "19", "--seed", "1") if plain[0] == "test" else ("--draws", "200", "--seed", "1")
+        code, out, _ = run_cli(capsys, *map(str, plain), *flags)
+        assert code == 0 and out
+        assert run_cli(capsys, *map(str, marked), *flags)[:2] == (0, out), marked
+
+
+def test_byte_order_mark_config_file_is_read(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario=ex3\nn=6\nm=6\nB=19\nreps=3\nphi=l2,exp\nseed=9\n")
+    ledger = str(tmp_path / "ledger.csv")
+    code, out, _ = run_cli(capsys, "power", "--config", str(cfg), "--out", ledger, "--json")
+    assert code == 0
+    marked = _with_byte_order_mark(cfg)
+    assert run_cli(capsys, "power", "--config", str(marked), "--out", ledger, "--json")[:2] == (0, out)
+
+
 def test_oversized_quoted_cell_is_data_error(tmp_path):
     # csv.reader refuses a cell over its field limit; that is a data error,
     # not a traceback (the limit is process-wide, so it is left as it is)

@@ -13,7 +13,6 @@ from pbftest import (
     PhiKind,
     batch_statistics,
     gram,
-    gram_call_count,
     make_sample,
     pbf_statistic_oracle,
     permutation_test,
@@ -221,11 +220,12 @@ def test_determinism_bit_identical(rng):
     assert c.p_value != a.p_value or c.zeta_hat == a.zeta_hat
 
 
-def test_gram_computed_exactly_once(rng):
+def test_gram_computed_exactly_once(rng, monkeypatch):
     sample = _null_sample(rng, 10, 10)
-    before = gram_call_count()
+    calls = []
+    monkeypatch.setattr(permute, "gram", lambda s: calls.append(s) or gram(s))
     permutation_test(sample, PhiKind.L2, B=50, seed=1)
-    assert gram_call_count() - before == 1
+    assert calls == [sample]
 
 
 def test_result_json_shape(rng):

@@ -6,11 +6,14 @@ import pytest
 
 from pbftest import (
     KernelSpectrum,
-    LimitShift,
     NumericalError,
     PhiKind,
     batch_statistics,
+    build_scenario,
+    generate_pair,
+    gram,
     gram_entries,
+    permutation_test,
     sample_limit_law,
     spectrum_estimate,
     spectrum_from_kernel_matrix,
@@ -125,6 +128,41 @@ def test_permutation_mean_is_limit_trace(rng, N):
         assert mean == pytest.approx(N / (N - 1) * np.trace(_kernel(G, kind)) / N, rel=1e-13)
 
 
+def _permutation_limit_ks(n, m, seed, kind):
+    """Two-sample KS distance between the permutation law of nm/N zeta (B =
+    2000) on an ex1 null sample and 20000 draws of its limit law times N/(N-1)."""
+    N = n + m
+    sample = generate_pair(build_scenario("ex1"), n, m, seed)
+    result = permutation_test(sample, kind, B=2000, seed=seed, keep_replicates=True)
+    permuted = np.sort(result.replicate_stats * n * m / N)
+    limit = np.sort(sample_limit_law(spectrum_estimate(gram(sample), kind), 20000, seed=seed))
+    limit *= N / (N - 1)
+    pooled = np.concatenate([permuted, limit])
+    gaps = np.searchsorted(permuted, pooled, side="right") / permuted.size
+    gaps -= np.searchsorted(limit, pooled, side="right") / limit.size
+    return float(np.max(np.abs(gaps)))
+
+
+# The Kolmogorov law's 99.9% point for a two-sample KS test of 2000 against 20000
+_KS_BOUND = 1.949 * math.sqrt((2000 + 20000) / (2000 * 20000))
+
+
+@pytest.mark.parametrize("n, m", [(50, 50), (30, 70)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_permutation_law_matches_limit_law(n, m, seed):
+    # The paper's permutation limit theorem: under the null, nm/N times the
+    # permuted statistic tends to sum_k lambda_k Z_k^2, the law the spectrum
+    # estimates; with N = 100 ex1 samples are already in the limit
+    for kind in PhiKind:
+        assert _permutation_limit_ks(n, m, seed, kind) <= _KS_BOUND, kind
+
+
+def test_permutation_law_nears_limit_law_as_n_grows():
+    for seed in (1, 2, 3):
+        small = _permutation_limit_ks(10, 10, seed, PhiKind.L2)
+        assert small > _permutation_limit_ks(50, 50, seed, PhiKind.L2), seed
+
+
 def test_limit_law_empty_spectrum():
     spec = KernelSpectrum(np.empty(0))
     assert np.array_equal(sample_limit_law(spec, 50, seed=1), np.zeros(50))
@@ -135,25 +173,6 @@ def test_limit_law_chi_square_mean():
     draws = sample_limit_law(spec, 100000, seed=4)
     # chi^2_1 mean 1, sd sqrt(2): 3 standard errors
     assert abs(draws.mean() - 1.0) <= 3.0 * np.sqrt(2.0 / draws.size)
-
-
-def test_limit_law_shifted_mean():
-    mu = 0.7
-    spec = KernelSpectrum(np.array([1.0]))
-    draws = sample_limit_law(spec, 100000, shift=np.array([mu]), seed=5)
-    # noncentral chi^2_1 mean 1 + mu^2, variance 2 + 4 mu^2
-    se = np.sqrt((2.0 + 4.0 * mu * mu) / draws.size)
-    assert abs(draws.mean() - (1.0 + mu * mu)) <= 3.0 * se
-
-
-def test_limit_shift_composition():
-    shift = LimitShift(delta=2.0, mixture_ratio=0.25, eigenfunction_means=np.array([1.0, -0.5]))
-    assert np.allclose(shift.per_component(), [1.0, -0.5])
-    spec = KernelSpectrum(np.array([1.0, 0.5]))
-    draws = sample_limit_law(spec, 200, shift=shift, seed=6)
-    assert draws.shape == (200,)
-    with pytest.raises(ValueError):
-        sample_limit_law(spec, 10, shift=np.array([1.0]), seed=0)
 
 
 def test_spectrum_estimate_validation():
